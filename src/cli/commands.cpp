@@ -272,12 +272,6 @@ int ServeListenLoop(const Args& args, gdp::serve::DisclosureService& service,
   server_config.queue_capacity =
       static_cast<std::size_t>(args.GetInt("queue-depth", 64));
   server_config.seed = seed;
-  // Default "shared" keeps socket-vs-batch parity; "per-connection" trades
-  // that for contention-free noise draws (deterministic per accept order).
-  if (args.Get("noise-streams").value_or("shared") == "per-connection") {
-    server_config.noise_streams =
-        gdp::core::NoiseStreamMode::kPerConnection;
-  }
   const std::int64_t max_requests = args.GetInt("max-requests", 0);
 
   gdp::net::Server server(service, server_config);
@@ -293,8 +287,7 @@ int ServeListenLoop(const Args& args, gdp::serve::DisclosureService& service,
   }
   out << "listening on 127.0.0.1:" << server.port() << " ("
       << server_config.num_workers << " workers, queue depth "
-      << server_config.queue_capacity << ", noise streams "
-      << gdp::core::NoiseStreamModeName(server_config.noise_streams) << ")\n";
+      << server_config.queue_capacity << ")\n";
   out.flush();
 
   g_stop_requested = 0;
@@ -667,13 +660,6 @@ int RunServe(const Args& args, std::ostream& out) {
     if (args.GetInt("max-requests", 0) < 0) {
       throw std::invalid_argument("--max-requests must be >= 0");
     }
-    if (const auto noise_streams = args.Get("noise-streams")) {
-      if (*noise_streams != "shared" && *noise_streams != "per-connection") {
-        throw std::invalid_argument(
-            "--noise-streams must be 'shared' or 'per-connection', got '" +
-            *noise_streams + "'");
-      }
-    }
   }
   const std::int64_t capacity = args.GetInt("registry-capacity", 8);
   if (capacity <= 0) {
@@ -780,15 +766,11 @@ int RunServe(const Args& args, std::ostream& out) {
   gdp::serve::DisclosureService& service = *service_ptr;
 
   if (listen) {
-    // Socket mode: same configured service, same Rng(seed).Fork(1) request
-    // stream (inside net::Server), so a sequential remote client gets
-    // bit-identical results to the batch loop below (net_parity_test).
+    // Socket mode: same configured service, same per-request streams
+    // (inside net::Server), so a sequential remote client gets bit-identical
+    // results to the batch loop below (net_parity_test).
     return ServeListenLoop(args, service, seed, out);
   }
-
-  // Request noise comes from a stream forked off the compile seed, so one
-  // --seed reproduces the whole batch (compile AND draws) bit-for-bit.
-  gdp::common::Rng request_rng = gdp::common::Rng(seed).Fork(1);
 
   gdp::common::TextTable table({"req", "tenant", "tier", "level", "status",
                                 "noisy_total", "eps_spent", "eps_left",
@@ -814,6 +796,9 @@ int RunServe(const Args& args, std::ostream& out) {
     gdp::serve::ServeResult result;
     bool known = true;
     try {
+      // Request i draws from the stream the socket server gives its i-th
+      // request: one --seed reproduces the whole batch (compile AND draws).
+      gdp::common::Rng request_rng = gdp::serve::RequestStream(seed, i);
       result = service.Serve(req.tenant, dataset_name, budget, request_rng);
     } catch (const gdp::common::NotFoundError& e) {
       // A request naming a tenant the broker does not know (e.g. one whose
@@ -950,10 +935,6 @@ int RunClient(const Args& args, std::ostream& out) {
     add("queue_high_watermark", s.queue_high_watermark);
     add("workers", s.workers);
     add("io_threads", s.io_threads);
-    table.AddRow({"noise_streams",
-                  gdp::core::NoiseStreamModeName(
-                      static_cast<gdp::core::NoiseStreamMode>(
-                          s.noise_streams))});
     add("rng_mutex_acquisitions", s.rng_mutex_acquisitions);
     add("partial_writes", s.partial_writes);
     table.Print(out);
@@ -1456,10 +1437,6 @@ std::string UsageText() {
          "            [--max-requests N]  exit after N completed requests\n"
          "            (tests/scripts); SIGTERM/SIGINT drain in-flight jobs\n"
          "            and flush responses before exit either way\n"
-         "            [--noise-streams shared|per-connection]  'shared'\n"
-         "            (default) draws all noise from the one batch-parity\n"
-         "            stream; 'per-connection' forks a stream per connection\n"
-         "            (deterministic per accept order, no global RNG lock)\n"
          "  client    --connect HOST:PORT  GDPNET01 client\n"
          "            --stats                     server/queue/registry"
          " counters\n"
@@ -1534,8 +1511,7 @@ int Dispatch(const std::vector<std::string>& tokens, std::ostream& out) {
                            "threads", "noise-grain", "registry-capacity",
                            "out", "accounting", "wal", "dataset-eps-cap",
                            "dataset-delta-cap", "listen", "port-file",
-                           "workers", "queue-depth", "max-requests",
-                           "noise-streams"}),
+                           "workers", "queue-depth", "max-requests"}),
         out);
   }
   if (command == "client") {

@@ -57,6 +57,24 @@ class Pcg64 {
     return (xored >> rot) | (xored << ((-rot) & 63));
   }
 
+  // Jump ahead: the state after `delta` calls of operator(), in O(log delta)
+  // steps (Brown's LCG skip-ahead).
+  void Advance(std::uint64_t delta) noexcept {
+    unsigned __int128 acc_mult = 1;
+    unsigned __int128 acc_plus = 0;
+    unsigned __int128 cur_mult = kMultiplier;
+    unsigned __int128 cur_plus = inc_;
+    for (; delta > 0; delta >>= 1) {
+      if ((delta & 1U) != 0) {
+        acc_mult *= cur_mult;
+        acc_plus = acc_plus * cur_mult + cur_plus;
+      }
+      cur_plus = (cur_mult + 1) * cur_plus;
+      cur_mult *= cur_mult;
+    }
+    state_ = acc_mult * state_ + acc_plus;
+  }
+
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {
     return std::numeric_limits<result_type>::max();
@@ -112,6 +130,9 @@ class Rng {
 
   // Bernoulli(p).  Requires p in [0, 1].
   [[nodiscard]] bool Bernoulli(double p);
+
+  // Skip `n` draws: the state after n calls of operator(), in O(log n).
+  void Advance(std::uint64_t n) noexcept { engine_.Advance(n); }
 
   // Derive an independent child stream.  Distinct (seed, salt) pairs give
   // decorrelated streams; used to give each trial / each worker its own RNG.

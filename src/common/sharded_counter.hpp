@@ -3,9 +3,9 @@
 //
 // A single std::atomic counter incremented on every request makes every
 // worker core invalidate every other worker's cache line — measurable once
-// the serving hot path stops serializing elsewhere (the per-connection
-// noise-stream mode removed the global rng mutex, leaving the stats counters
-// as the last shared write).  Each thread instead increments its own
+// the serving hot path stops serializing elsewhere (per-request noise
+// streams take no global lock, leaving the stats counters as the last
+// shared write).  Each thread instead increments its own
 // cache-line-aligned slot (slot index assigned once per thread, round-robin)
 // and readers aggregate on demand.
 //

@@ -9,7 +9,7 @@
 //
 // Determinism contract: the pool never owns randomness.  Callers that need
 // reproducible output fork one RNG stream per work unit BEFORE submission
-// (see GroupDpEngine::ParallelReleaseAll and ReleaseLevelFromPlan), so
+// (see GroupDpEngine::ReleaseLevels and ReleaseLevelFromPlan), so
 // scheduling order cannot leak into results.
 //
 // CALLER PARTICIPATION: ParallelFor / ParallelForChunked never park the

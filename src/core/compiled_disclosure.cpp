@@ -10,16 +10,6 @@
 
 namespace gdp::core {
 
-const char* NoiseStreamModeName(NoiseStreamMode mode) noexcept {
-  switch (mode) {
-    case NoiseStreamMode::kShared:
-      return "shared";
-    case NoiseStreamMode::kPerConnection:
-      return "per-connection";
-  }
-  return "unknown";
-}
-
 void ValidateBudgetShape(const BudgetSpec& budget) {
   if (!(budget.phase1_fraction >= 0.0) || !(budget.phase1_fraction < 1.0)) {
     throw gdp::common::InvalidBudgetError(
@@ -170,7 +160,7 @@ std::shared_ptr<const CompiledDisclosure> CompiledDisclosure::FromPrecompiled(
     }
   }
   // Same pool policy as Compile: the exec spec, not the plan's provenance,
-  // decides the release draw-order contract.
+  // decides how the work is spread (never what is released).
   std::unique_ptr<gdp::common::ThreadPool> pool;
   if (spec.exec.num_threads != 1) {
     pool = std::make_unique<gdp::common::ThreadPool>(spec.exec.num_threads);
@@ -225,7 +215,7 @@ gdp::dp::MechanismEvent CompiledDisclosure::ChargeEventFor(
   // (σ scales linearly with Δ for both calibrations, so σ(ε, δ, 1) IS the
   // multiplier).  The analytic calibration's bisection then runs once per
   // distinct (kind, ε, δ) for the artifact's lifetime — the admission path
-  // of every tenant's every request reuses it, exactly like DrawRelease
+  // of every tenant's every request reuses it, exactly like DrawLevels
   // reuses the per-level calibrations.
   // Default (paper) reading: ONE event of parallel_width = num_levels — the
   // levels partition the same tree, so the release costs one level's (ε, δ).
@@ -256,14 +246,27 @@ void CompiledDisclosure::CheckLevel(int level, const char* where) const {
   }
 }
 
+void CompiledDisclosure::CheckLevelRange(int first, int last,
+                                         const char* where) const {
+  CheckLevel(first, where);
+  CheckLevel(last, where);
+  if (first > last) {
+    throw std::out_of_range(std::string(where) + ": first level " +
+                            std::to_string(first) + " > last level " +
+                            std::to_string(last));
+  }
+}
+
 MultiLevelRelease CompiledDisclosure::Release(const BudgetSpec& budget,
                                               gdp::common::Rng& rng) const {
   ValidateBudget(budget);
-  return DrawRelease(budget, rng);
+  return MultiLevelRelease(
+      DrawLevels(budget, 0, hierarchy_.num_levels() - 1, rng));
 }
 
-MultiLevelRelease CompiledDisclosure::DrawRelease(const BudgetSpec& budget,
-                                                  gdp::common::Rng& rng) const {
+std::vector<LevelRelease> CompiledDisclosure::DrawLevels(
+    const BudgetSpec& budget, int first, int last,
+    gdp::common::Rng& rng) const {
   ReleaseConfig rel;
   rel.epsilon_g = budget.phase2_epsilon();
   rel.delta = budget.delta;
@@ -273,13 +276,20 @@ MultiLevelRelease CompiledDisclosure::DrawRelease(const BudgetSpec& budget,
   rel.noise_chunk_grain = spec_.exec.noise_chunk_grain;
 
   const GroupDpEngine engine(rel, &mech_cache_);
-  MultiLevelRelease release =
-      pool_ != nullptr ? engine.ParallelReleaseAll(plan_, rng, *pool_)
-                       : engine.ReleaseAll(plan_, rng);
-  if (spec_.exec.enforce_consistency) {
-    release = EnforceHierarchicalConsistency(hierarchy_, release);
+  if (!spec_.exec.enforce_consistency) {
+    return engine.ReleaseLevels(plan_, first, last, rng, pool_.get());
   }
-  return release;
+  // The projection couples every level to its parents and children, so it
+  // needs the full draw; the requested range is cut out afterwards.
+  CheckLevelRange(first, last, "CompiledDisclosure::DrawLevels");
+  MultiLevelRelease all = EnforceHierarchicalConsistency(
+      hierarchy_, engine.ReleaseAll(plan_, rng, pool_.get()));
+  std::vector<LevelRelease> levels;
+  levels.reserve(static_cast<std::size_t>(last - first + 1));
+  for (int level = first; level <= last; ++level) {
+    levels.push_back(all.level(level));
+  }
+  return levels;
 }
 
 const gdp::hier::HierarchyIndex& CompiledDisclosure::index() const {
@@ -293,6 +303,12 @@ std::vector<DrillDownEntry> CompiledDisclosure::Drilldown(
     const MultiLevelRelease& release, gdp::hier::Side side,
     gdp::hier::NodeIndex v, int max_level, int min_level) const {
   return DrillDown(release, index(), side, v, max_level, min_level);
+}
+
+std::vector<DrillDownEntry> CompiledDisclosure::Drilldown(
+    std::span<const LevelRelease> levels, gdp::hier::Side side,
+    gdp::hier::NodeIndex v) const {
+  return DrillDown(levels, index(), side, v);
 }
 
 std::vector<gdp::query::QueryRunResult> CompiledDisclosure::Answer(

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -81,19 +82,19 @@ struct BudgetSpec {
 };
 
 // How work is executed and post-processed.  Fixed for the artifact's
-// lifetime; none of it is privacy-relevant (threads and grain change the
-// draw order contract, consistency/clamping are post-processing).
+// lifetime; none of it is privacy-relevant (the grain is part of the draw
+// order contract, threads are not; consistency/clamping are
+// post-processing).
 struct ExecSpec {
-  // Phase-2 worker threads.  1 (default) releases levels sequentially —
-  // bit-identical to the pre-plan pipeline.  Any other value builds an
-  // owned ThreadPool at Compile: the plan's node scan is sharded across it
-  // and releases use ParallelReleaseAll (per-level forked RNG streams plus
-  // chunked within-level vector noise) — seed-deterministic for ANY thread
-  // count, but a different (documented) draw order; 0 selects the hardware
-  // concurrency.
+  // Worker threads.  1 (default) compiles and releases on the calling
+  // thread.  Any other value builds an owned ThreadPool at Compile: Phase 1
+  // and the plan's node scan are sharded across it, and releases spread
+  // levels and large levels' chunks over it.  Wall time only — the released
+  // values are identical for every thread count, 1 included; 0 selects the
+  // hardware concurrency.
   int num_threads{1};
-  // Groups per chunk for the within-level noise draw on the parallel path.
-  // Part of the reproducibility contract (one RNG substream per chunk):
+  // Groups per chunk of the within-level vector noise draw.  Part of the
+  // reproducibility contract (one RNG substream per chunk, pool or not):
   // changing it changes the released values; thread count never does.
   std::size_t noise_chunk_grain{8192};
   // Also release per-group noisy counts at every level.
@@ -104,25 +105,6 @@ struct ExecSpec {
   // Post-processing: clamp noisy counts at 0.
   bool clamp_nonnegative{false};
 };
-
-// How a network serving front end assigns request noise streams across
-// connections (the serving determinism contract, docs/SERVING.md):
-//   kShared         — every request draws from the ONE batch-driver stream
-//                     (Rng(seed).Fork(1)) in job-execution order; the socket
-//                     path stays bit-identical to `gdp_tool serve --requests`
-//                     at the same seed, at the price of a global mutex
-//                     serializing all noise draws.
-//   kPerConnection  — each accepted connection owns a forked substream keyed
-//                     by its accept-order id (Rng(seed).Fork(2).Fork(id)),
-//                     so concurrent requests from different connections draw
-//                     without any global lock.  Deterministic for a fixed
-//                     accept order; NOT comparable to the batch driver.
-enum class NoiseStreamMode : std::uint8_t {
-  kShared = 0,
-  kPerConnection = 1,
-};
-
-[[nodiscard]] const char* NoiseStreamModeName(NoiseStreamMode mode) noexcept;
 
 // Everything a compile/open needs: the one-time specs plus the opening
 // budget (whose phase1_epsilon() the EM build spends) and the default ledger
@@ -157,13 +139,6 @@ struct SessionSpec {
   // changes what a release CHARGES, never what it RELEASES, so artifacts
   // compiled either way are interchangeable bits.
   bool strict_level_charging{false};
-  // How a socket front end over this publication assigns request noise
-  // streams (net::Server picks it up from the dataset's spec unless its own
-  // config overrides).  Like strict_level_charging, NOT part of the artifact
-  // fingerprint: it selects which stream a request draws FROM, never what a
-  // single release looks like, so artifacts compiled either way are
-  // interchangeable bits.
-  NoiseStreamMode noise_streams{NoiseStreamMode::kShared};
 };
 
 // Shape validation of the (ε, δ, fraction) triple alone, independent of any
@@ -222,6 +197,13 @@ class CompiledDisclosure {
       const MultiLevelRelease& release, gdp::hier::Side side,
       gdp::hier::NodeIndex v, int max_level, int min_level) const;
 
+  // Same, over an ascending level range (DisclosureSession::
+  // TryReleaseLevels): the chain runs from the last level in `levels` down
+  // to the first.
+  [[nodiscard]] std::vector<DrillDownEntry> Drilldown(
+      std::span<const LevelRelease> levels, gdp::hier::Side side,
+      gdp::hier::NodeIndex v) const;
+
   // Evaluate a query workload at one hierarchy level under `budget` (no
   // ledger charge — see DisclosureSession::Answer).  Reads the graph the
   // artifact was compiled on.
@@ -238,6 +220,8 @@ class CompiledDisclosure {
 
   // Throws std::out_of_range when `level` is not a level of this hierarchy.
   void CheckLevel(int level, const char* where) const;
+  // Same for both ends of [first, last], and when first > last.
+  void CheckLevelRange(int first, int last, const char* where) const;
 
   // The mechanism-level accounting event ONE Release under `budget` charges:
   // kind and noise multiplier from the budget's noise configuration, the
@@ -270,10 +254,16 @@ class CompiledDisclosure {
   // ledger) and TakeHierarchy's sole-owner move-out.
   friend class DisclosureSession;
 
-  // Release body without the validation pass.  Callers must have validated
-  // `budget` against this artifact first.
-  [[nodiscard]] MultiLevelRelease DrawRelease(const BudgetSpec& budget,
-                                              gdp::common::Rng& rng) const;
+  // Levels [first, last] of the release Release(budget, rng) would draw,
+  // bit for bit, paying only for those levels' noise (GroupDpEngine::
+  // ReleaseLevels); `rng` advances exactly as under Release.  Under
+  // ExecSpec::enforce_consistency every level is drawn anyway — the
+  // consistency projection needs them all — and the range is cut out of the
+  // projected release.  std::out_of_range on a bad range.  No validation
+  // pass: callers must have validated `budget` against this artifact.
+  [[nodiscard]] std::vector<LevelRelease> DrawLevels(
+      const BudgetSpec& budget, int first, int last,
+      gdp::common::Rng& rng) const;
 
   CompiledDisclosure(const gdp::graph::BipartiteGraph& graph, SessionSpec spec,
                      gdp::hier::GroupHierarchy hierarchy, ReleasePlan plan,
@@ -284,7 +274,7 @@ class CompiledDisclosure {
   SessionSpec spec_;
   gdp::hier::GroupHierarchy hierarchy_;
   ReleasePlan plan_;
-  std::unique_ptr<gdp::common::ThreadPool> pool_;  // null on sequential path
+  std::unique_ptr<gdp::common::ThreadPool> pool_;  // null when num_threads == 1
   // One calibration cache for the artifact's lifetime, shared by every
   // tenant: repeated releases at an already-seen (kind, ε, δ, Δ) skip
   // calibration.  Internally mutex-guarded.

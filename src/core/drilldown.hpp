@@ -7,6 +7,7 @@
 // post-processing of the artifact, no additional privacy cost.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/release.hpp"
@@ -29,5 +30,13 @@ struct DrillDownEntry {
 [[nodiscard]] std::vector<DrillDownEntry> DrillDown(
     const MultiLevelRelease& release, const gdp::hier::HierarchyIndex& index,
     gdp::hier::Side side, gdp::hier::NodeIndex v, int max_level, int min_level);
+
+// Same walk over an ascending run of level releases (each naming its level,
+// as a ranged draw returns them), from the last entry down to the first.
+// Requires every entry to carry group counts at a level of the hierarchy.
+[[nodiscard]] std::vector<DrillDownEntry> DrillDown(
+    std::span<const LevelRelease> levels,
+    const gdp::hier::HierarchyIndex& index, gdp::hier::Side side,
+    gdp::hier::NodeIndex v);
 
 }  // namespace gdp::core

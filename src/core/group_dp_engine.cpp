@@ -1,6 +1,8 @@
 #include "core/group_dp_engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.hpp"
 #include "core/group_sensitivity.hpp"
@@ -134,18 +136,51 @@ double GroupDpEngine::NoiseStddevFor(double sensitivity) const {
       .NoiseStddev();
 }
 
-LevelRelease GroupDpEngine::ReleaseLevel(const BipartiteGraph& graph,
-                                         const Partition& level, int level_index,
-                                         gdp::common::Rng& rng) const {
-  return ReleaseLevelWithEpsilon(graph, level, level_index, config_.epsilon_g,
-                                 rng);
+void GroupDpEngine::DrawLevelNoise(
+    LevelRelease& out, const gdp::dp::NumericMechanism& scalar_mechanism,
+    const gdp::dp::NumericMechanism* vector_mechanism,
+    gdp::common::Rng& level_rng, gdp::common::ThreadPool* pool) const {
+  out.noise_stddev = scalar_mechanism.NoiseStddev();
+  out.noisy_total = scalar_mechanism.AddNoise(out.true_total, level_rng);
+
+  if (vector_mechanism != nullptr) {
+    out.group_noise_stddev = vector_mechanism->NoiseStddev();
+    // Chunk layout depends only on (n, grain), and the substreams are forked
+    // in chunk order before any chunk draws, so the values are the same with
+    // or without a pool, for any thread count or schedule.
+    const std::size_t grain = config_.noise_chunk_grain;
+    const std::size_t n = out.true_group_counts.size();
+    const std::size_t num_chunks = (n + grain - 1) / grain;
+    std::vector<gdp::common::Rng> streams = level_rng.ForkStreams(num_chunks);
+    out.noisy_group_counts.resize(n);
+    const auto draw_chunk = [&](std::size_t chunk, std::size_t begin,
+                                std::size_t end) {
+      gdp::common::Rng& chunk_rng = streams[chunk];
+      for (std::size_t i = begin; i < end; ++i) {
+        out.noisy_group_counts[i] =
+            vector_mechanism->AddNoise(out.true_group_counts[i], chunk_rng);
+      }
+    };
+    if (pool != nullptr && num_chunks > 1) {
+      pool->ParallelForChunked(n, grain, draw_chunk);
+    } else {
+      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+        draw_chunk(chunk, chunk * grain, std::min(n, (chunk + 1) * grain));
+      }
+    }
+  }
+
+  if (config_.clamp_nonnegative) {
+    out.noisy_total = std::max(0.0, out.noisy_total);
+    for (double& c : out.noisy_group_counts) {
+      c = std::max(0.0, c);
+    }
+  }
 }
 
-LevelRelease GroupDpEngine::ReleaseLevelWithEpsilon(const BipartiteGraph& graph,
-                                                    const Partition& level,
-                                                    int level_index,
-                                                    double epsilon,
-                                                    gdp::common::Rng& rng) const {
+LevelRelease GroupDpEngine::ReleaseLevel(const BipartiteGraph& graph,
+                                         const Partition& level, int level_index,
+                                         gdp::common::Rng& level_rng) const {
   LevelRelease out;
   out.level = level_index;
   out.true_total = static_cast<double>(graph.num_edges());
@@ -168,11 +203,9 @@ LevelRelease GroupDpEngine::ReleaseLevelWithEpsilon(const BipartiteGraph& graph,
     return out;
   }
 
-  const auto& scalar_mechanism =
-      cache().Get(config_.noise, epsilon, config_.delta, out.sensitivity);
-  out.noise_stddev = scalar_mechanism.NoiseStddev();
-  out.noisy_total = scalar_mechanism.AddNoise(out.true_total, rng);
-
+  const auto& scalar_mechanism = cache().Get(config_.noise, config_.epsilon_g,
+                                             config_.delta, out.sensitivity);
+  const gdp::dp::NumericMechanism* vector_mechanism = nullptr;
   if (config_.include_group_counts) {
     const std::vector<gdp::graph::EdgeCount> sums = level.GroupDegreeSums(graph);
     out.true_group_counts.reserve(sums.size());
@@ -183,26 +216,17 @@ LevelRelease GroupDpEngine::ReleaseLevelWithEpsilon(const BipartiteGraph& graph,
     // and opposite-side entries by up to Δℓ in total, so calibrate with the
     // sqrt(2)·Δℓ L2 bound (see group_sensitivity.hpp).  Served from the
     // same cache as the plan path — the calibration key is identical.
-    const auto& vector_mechanism =
-        cache().Get(config_.noise, epsilon, config_.delta,
-                    VectorSensitivity(graph, level).value());
-    out.group_noise_stddev = vector_mechanism.NoiseStddev();
-    out.noisy_group_counts =
-        vector_mechanism.AddNoise(out.true_group_counts, rng);
+    vector_mechanism =
+        &cache().Get(config_.noise, config_.epsilon_g, config_.delta,
+                     VectorSensitivity(graph, level).value());
   }
-
-  if (config_.clamp_nonnegative) {
-    out.noisy_total = std::max(0.0, out.noisy_total);
-    for (double& c : out.noisy_group_counts) {
-      c = std::max(0.0, c);
-    }
-  }
+  DrawLevelNoise(out, scalar_mechanism, vector_mechanism, level_rng, nullptr);
   return out;
 }
 
 LevelRelease GroupDpEngine::ReleaseLevelFromPlan(
     const ReleasePlan& plan, int level_index, double epsilon,
-    gdp::common::Rng& rng, gdp::common::ThreadPool* pool) const {
+    gdp::common::Rng& level_rng, gdp::common::ThreadPool* pool) const {
   LevelRelease out;
   out.level = level_index;
   out.true_total = static_cast<double>(plan.num_edges());
@@ -229,51 +253,64 @@ LevelRelease GroupDpEngine::ReleaseLevelFromPlan(
 
   const auto& scalar_mechanism =
       cache().Get(config_.noise, epsilon, config_.delta, out.sensitivity);
-  out.noise_stddev = scalar_mechanism.NoiseStddev();
-  out.noisy_total = scalar_mechanism.AddNoise(out.true_total, rng);
-
+  const gdp::dp::NumericMechanism* vector_mechanism = nullptr;
   if (config_.include_group_counts) {
-    out.true_group_counts.reserve(sums.size());
-    for (const auto s : sums) {
-      out.true_group_counts.push_back(static_cast<double>(s));
-    }
+    out.true_group_counts.assign(sums.begin(), sums.end());
     // Same sqrt(2)·Δℓ bound as the per-level path; Δℓ here is the computed
     // (not overridden) scalar, matching the legacy calibration exactly.
-    const auto& vector_mechanism = cache().Get(
-        config_.noise, epsilon, config_.delta, plan.VectorSensitivity(level_index));
-    out.group_noise_stddev = vector_mechanism.NoiseStddev();
-
-    const std::size_t grain = config_.noise_chunk_grain;
-    const std::size_t n = out.true_group_counts.size();
-    if (pool != nullptr && n > grain) {
-      // Within-level parallel draw.  Chunk layout depends only on (n, grain)
-      // and the substreams are forked in chunk order BEFORE dispatch, so the
-      // released values are bit-identical for any thread count or schedule.
-      const std::size_t num_chunks = (n + grain - 1) / grain;
-      std::vector<gdp::common::Rng> streams = rng.ForkStreams(num_chunks);
-      out.noisy_group_counts.resize(n);
-      pool->ParallelForChunked(
-          n, grain,
-          [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-            gdp::common::Rng& chunk_rng = streams[chunk];
-            for (std::size_t i = begin; i < end; ++i) {
-              out.noisy_group_counts[i] =
-                  vector_mechanism.AddNoise(out.true_group_counts[i], chunk_rng);
-            }
-          });
-    } else {
-      out.noisy_group_counts =
-          vector_mechanism.AddNoise(out.true_group_counts, rng);
-    }
+    vector_mechanism = &cache().Get(config_.noise, epsilon, config_.delta,
+                                    plan.VectorSensitivity(level_index));
   }
-
-  if (config_.clamp_nonnegative) {
-    out.noisy_total = std::max(0.0, out.noisy_total);
-    for (double& c : out.noisy_group_counts) {
-      c = std::max(0.0, c);
-    }
-  }
+  DrawLevelNoise(out, scalar_mechanism, vector_mechanism, level_rng, pool);
   return out;
+}
+
+std::vector<LevelRelease> GroupDpEngine::ReleaseLevels(
+    const ReleasePlan& plan, int first, int last, gdp::common::Rng& rng,
+    gdp::common::ThreadPool* pool,
+    std::span<const double> per_level_epsilon) const {
+  const int num_levels = plan.num_levels();
+  if (first < 0 || first > last || last >= num_levels) {
+    throw std::out_of_range("GroupDpEngine::ReleaseLevels: levels [" +
+                            std::to_string(first) + ", " +
+                            std::to_string(last) + "] outside [0, " +
+                            std::to_string(num_levels) + ")");
+  }
+  if (!per_level_epsilon.empty()) {
+    if (per_level_epsilon.size() != static_cast<std::size_t>(num_levels)) {
+      throw std::invalid_argument(
+          "GroupDpEngine::ReleaseLevels: one epsilon required per level");
+    }
+    for (const double eps : per_level_epsilon) {
+      (void)gdp::dp::Epsilon(eps);  // validates
+    }
+  }
+  // Every level's stream is forked, drawn or not: the caller's stream
+  // advances the same for any range, and level i always gets stream i.
+  std::vector<gdp::common::Rng> streams =
+      rng.ForkStreams(static_cast<std::size_t>(num_levels));
+  const auto count = static_cast<std::size_t>(last - first + 1);
+  std::vector<LevelRelease> levels(count);
+  const auto release = [&](std::size_t i) {
+    const int level = first + static_cast<int>(i);
+    const double eps = per_level_epsilon.empty()
+                           ? config_.epsilon_g
+                           : per_level_epsilon[static_cast<std::size_t>(level)];
+    levels[i] = ReleaseLevelFromPlan(plan, level, eps,
+                                     streams[static_cast<std::size_t>(level)],
+                                     pool);
+  };
+  if (pool != nullptr && count > 1) {
+    // Nested use of the same pool: each large level's vector draw is split
+    // into chunks (caller participation in ParallelForChunked makes the
+    // nesting deadlock-free).
+    pool->ParallelFor(count, release);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) {
+      release(i);
+    }
+  }
+  return levels;
 }
 
 MultiLevelRelease GroupDpEngine::ReleaseAll(const BipartiteGraph& graph,
@@ -283,22 +320,22 @@ MultiLevelRelease GroupDpEngine::ReleaseAll(const BipartiteGraph& graph,
 }
 
 MultiLevelRelease GroupDpEngine::ReleaseAll(const ReleasePlan& plan,
-                                            gdp::common::Rng& rng) const {
-  std::vector<LevelRelease> levels;
-  levels.reserve(static_cast<std::size_t>(plan.num_levels()));
-  for (int i = 0; i < plan.num_levels(); ++i) {
-    levels.push_back(ReleaseLevelFromPlan(plan, i, config_.epsilon_g, rng));
-  }
-  return MultiLevelRelease(std::move(levels));
+                                            gdp::common::Rng& rng,
+                                            gdp::common::ThreadPool* pool) const {
+  return MultiLevelRelease(
+      ReleaseLevels(plan, 0, plan.num_levels() - 1, rng, pool));
 }
 
 MultiLevelRelease GroupDpEngine::ReleaseAllLegacy(const BipartiteGraph& graph,
                                                   const GroupHierarchy& hierarchy,
                                                   gdp::common::Rng& rng) const {
+  std::vector<gdp::common::Rng> streams =
+      rng.ForkStreams(static_cast<std::size_t>(hierarchy.num_levels()));
   std::vector<LevelRelease> levels;
-  levels.reserve(static_cast<std::size_t>(hierarchy.num_levels()));
+  levels.reserve(streams.size());
   for (int i = 0; i < hierarchy.num_levels(); ++i) {
-    levels.push_back(ReleaseLevel(graph, hierarchy.level(i), i, rng));
+    levels.push_back(ReleaseLevel(graph, hierarchy.level(i), i,
+                                  streams[static_cast<std::size_t>(i)]));
   }
   return MultiLevelRelease(std::move(levels));
 }
@@ -310,27 +347,7 @@ MultiLevelRelease GroupDpEngine::ParallelReleaseAll(
   // Shard the plan's single node scan across the same pool (exactly equal
   // to the sequential Build — integer sums over disjoint node shards).
   const ReleasePlan plan = ReleasePlan::Build(graph, hierarchy, pool);
-  return ParallelReleaseAll(plan, rng, pool);
-}
-
-MultiLevelRelease GroupDpEngine::ParallelReleaseAll(
-    const ReleasePlan& plan, gdp::common::Rng& rng,
-    gdp::common::ThreadPool& pool) const {
-  const int n = plan.num_levels();
-  // Fork one decorrelated child stream per level BEFORE dispatch, in level
-  // order: the fork sequence depends only on the incoming rng state, so the
-  // released values are identical whatever the thread count or schedule.
-  std::vector<gdp::common::Rng> streams =
-      rng.ForkStreams(static_cast<std::size_t>(n));
-  std::vector<LevelRelease> levels(static_cast<std::size_t>(n));
-  pool.ParallelFor(static_cast<std::size_t>(n), [&](std::size_t i) {
-    // Nested use of the same pool: each large level's vector draw is split
-    // into chunks (caller participation in ParallelForChunked makes the
-    // nesting deadlock-free).
-    levels[i] = ReleaseLevelFromPlan(plan, static_cast<int>(i),
-                                     config_.epsilon_g, streams[i], &pool);
-  });
-  return MultiLevelRelease(std::move(levels));
+  return ReleaseAll(plan, rng, &pool);
 }
 
 MultiLevelRelease GroupDpEngine::ReleaseAllWithBudgets(
@@ -352,16 +369,8 @@ MultiLevelRelease GroupDpEngine::ReleaseAllWithBudgets(
     throw std::invalid_argument(
         "ReleaseAllWithBudgets: one epsilon required per level");
   }
-  for (const double eps : per_level_epsilon) {
-    (void)gdp::dp::Epsilon(eps);  // validates
-  }
-  std::vector<LevelRelease> levels;
-  levels.reserve(static_cast<std::size_t>(plan.num_levels()));
-  for (int i = 0; i < plan.num_levels(); ++i) {
-    levels.push_back(ReleaseLevelFromPlan(
-        plan, i, per_level_epsilon[static_cast<std::size_t>(i)], rng));
-  }
-  return MultiLevelRelease(std::move(levels));
+  return MultiLevelRelease(ReleaseLevels(plan, 0, plan.num_levels() - 1, rng,
+                                         nullptr, per_level_epsilon));
 }
 
 }  // namespace gdp::core

@@ -6,19 +6,23 @@
 // Gaussian/Laplace mechanism guarantee, each level's release satisfies
 // εg-group-DP with respect to level-ℓ group adjacency.
 //
-// RELEASE PATHS: multi-level releases are plan-based — a ReleasePlan computes
-// every level's statistics in one O(V + total groups) sweep (see
-// release_plan.hpp), and the engine consumes the cached values.  The
+// ONE DRAW ORDER: every release goes through ReleaseLevels, which forks one
+// RNG stream per hierarchy level from the caller's stream, in level order,
+// and then draws only the requested levels.  Inside a level the scalar total
+// comes off the level's stream first; the per-group vector is then drawn in
+// fixed-size chunks (ReleaseConfig::noise_chunk_grain groups each), one
+// substream per chunk forked from the level's stream in chunk order —
+// whether or not a pool is present.  Consequences, all pinned by
+// draw_parity_test and parallel_release_test:
+//   * a subset draw of levels [a, b] is bit-identical to levels a..b of a
+//     full draw, and advances the caller's stream by exactly as much;
+//   * output never depends on the pool or its thread count (1 included);
+//   * the multi-level entry points below (plan-based, per-level budgets,
+//     pooled, and the legacy node-scan oracle) are the all-levels case.
+// Multi-level releases are plan-based — a ReleasePlan computes every level's
+// statistics in one O(V + total groups) sweep (see release_plan.hpp).  The
 // pre-plan per-level path (up to three node scans per level) is retained as
-// ReleaseAllLegacy: it is the bench comparator and the parity oracle —
-// plan-based output is bit-identical to it under the same seed.
-// ParallelReleaseAll releases levels concurrently on a ThreadPool with one
-// forked RNG stream per level, and additionally splits each large level's
-// per-group vector noise into fixed-size chunks with one RNG substream per
-// chunk (forked in chunk order before dispatch).  Output is therefore
-// seed-deterministic for every thread count — the chunk layout depends only
-// on the group count and ReleaseConfig::noise_chunk_grain — but
-// intentionally differs from the sequential draw order.
+// ReleaseAllLegacy: the bench comparator and the parity oracle.
 //
 // SENSITIVITY CAVEAT (documented honestly): following the paper, Δℓ is
 // computed from the dataset's own hierarchy, i.e. it is a *local* rather
@@ -81,10 +85,10 @@ struct ReleaseConfig {
   // exactly: there are no associations to protect, so the override cannot
   // manufacture noise for it.
   std::optional<double> sensitivity_override;
-  // Groups per chunk for the within-level parallel vector noise draw (pool
-  // paths only).  Part of the output's reproducibility contract: one RNG
-  // substream is forked per chunk, so changing the grain re-splits the
-  // stream and changes the released values — thread count never does.
+  // Groups per chunk of the per-group vector noise draw.  Part of the
+  // output's reproducibility contract: one RNG substream is forked per
+  // chunk, pool or not, so changing the grain re-splits the stream and
+  // changes the released values — thread count never does.
   std::size_t noise_chunk_grain{8192};
 };
 
@@ -146,46 +150,55 @@ class GroupDpEngine {
   GroupDpEngine(const GroupDpEngine&) = delete;
   GroupDpEngine& operator=(const GroupDpEngine&) = delete;
 
-  // Release one level.  `level_index` is recorded in the artifact.
-  // A level whose sensitivity is zero (edgeless graph) is released exactly —
-  // there are no associations to protect.  Per-level node scans (no plan).
-  [[nodiscard]] LevelRelease ReleaseLevel(const BipartiteGraph& graph,
-                                          const Partition& level,
-                                          int level_index,
-                                          gdp::common::Rng& rng) const;
+  // THE draw primitive: release levels [first, last] of `plan` (ascending
+  // in the result).  Forks one stream per plan level from `rng` in level
+  // order — all num_levels of them, whatever is drawn — then releases each
+  // requested level from its own stream via ReleaseLevelFromPlan.  With a
+  // pool, requested levels run concurrently and large levels split their
+  // vector draw across it; the values are identical without one.  An empty
+  // `per_level_epsilon` uses config().epsilon_g at every level; otherwise it
+  // holds one ε per plan level (all > 0).  Requires
+  // 0 <= first <= last < plan.num_levels() (std::out_of_range otherwise).
+  [[nodiscard]] std::vector<LevelRelease> ReleaseLevels(
+      const ReleasePlan& plan, int first, int last, gdp::common::Rng& rng,
+      gdp::common::ThreadPool* pool = nullptr,
+      std::span<const double> per_level_epsilon = {}) const;
 
-  // Release every level of the hierarchy with the configured εg per level
-  // (the paper's scheme: each level carries its own εg-group-DP guarantee
-  // under its own adjacency relation).  Builds a ReleasePlan internally:
-  // one node scan total, bit-identical to ReleaseAllLegacy.
+  // Every level of the hierarchy with the configured εg per level (the
+  // paper's scheme: each level carries its own εg-group-DP guarantee under
+  // its own adjacency relation).  Builds a ReleasePlan internally.
   [[nodiscard]] MultiLevelRelease ReleaseAll(const BipartiteGraph& graph,
                                              const GroupHierarchy& hierarchy,
                                              gdp::common::Rng& rng) const;
 
   // Same, from a caller-owned plan (amortise the sweep across repeated
-  // releases of one graph/hierarchy pair).
-  [[nodiscard]] MultiLevelRelease ReleaseAll(const ReleasePlan& plan,
-                                             gdp::common::Rng& rng) const;
+  // releases of one graph/hierarchy pair) and optional pool.
+  [[nodiscard]] MultiLevelRelease ReleaseAll(
+      const ReleasePlan& plan, gdp::common::Rng& rng,
+      gdp::common::ThreadPool* pool = nullptr) const;
+
+  // Release one level by per-level node scans (no plan), drawing from
+  // `level_rng` as ReleaseLevelFromPlan does.  `level_index` is recorded in
+  // the artifact.
+  [[nodiscard]] LevelRelease ReleaseLevel(const BipartiteGraph& graph,
+                                          const Partition& level,
+                                          int level_index,
+                                          gdp::common::Rng& level_rng) const;
 
   // The pre-plan path: every level rescans the node set (CountSensitivity,
-  // group counts, VectorSensitivity) and calibrates fresh mechanisms.  Kept
-  // as the benchmark comparator and the parity oracle for the plan path.
+  // group counts, VectorSensitivity), with the same stream layout as
+  // ReleaseLevels — bit-identical to ReleaseAll.  Kept as the benchmark
+  // comparator and the parity oracle for the plan path.
   [[nodiscard]] MultiLevelRelease ReleaseAllLegacy(
       const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
       gdp::common::Rng& rng) const;
 
-  // Release levels concurrently.  Each level draws from its own child RNG
-  // stream forked from `rng` in level order before dispatch, so the output
-  // depends only on the seed — NOT on the thread count or schedule.
-  // num_threads <= 0 selects the hardware concurrency.
+  // ReleaseAll with the plan build and the draw spread over a fresh pool of
+  // `num_threads` (<= 0: hardware concurrency).  Bit-identical to ReleaseAll
+  // for every thread count.
   [[nodiscard]] MultiLevelRelease ParallelReleaseAll(
       const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
       gdp::common::Rng& rng, int num_threads = 0) const;
-
-  // Same, from a caller-owned plan and pool (servers reuse both).
-  [[nodiscard]] MultiLevelRelease ParallelReleaseAll(
-      const ReleasePlan& plan, gdp::common::Rng& rng,
-      gdp::common::ThreadPool& pool) const;
 
   // Release with an explicit per-level budget (one epsilon per hierarchy
   // level, e.g. from PlanLevelBudgets).  Summing the epsilons gives the
@@ -200,17 +213,17 @@ class GroupDpEngine {
       const ReleasePlan& plan, std::span<const double> per_level_epsilon,
       gdp::common::Rng& rng) const;
 
-  // Plan path for one level: all statistics are cached lookups; mechanisms
-  // are memoized.  When `pool` is non-null and the level has more groups
-  // than config().noise_chunk_grain, the per-group vector noise is drawn in
-  // fixed-size chunks across the pool, one RNG substream per chunk forked
-  // from `rng` in chunk order BEFORE dispatch — bit-identical for any pool
-  // size (and to the pool == nullptr draw order only when the level fits in
-  // a single chunk).  Public so per-level services and benches can release
-  // one level without paying for the rest.
+  // One level from the plan, drawn from `level_rng` — the level's own stream
+  // (ReleaseLevels forks it; a caller measuring one level may pass any
+  // stream).  All statistics are cached lookups; mechanisms are memoized.
+  // The scalar total is drawn from `level_rng` first; then one substream per
+  // noise_chunk_grain-sized chunk of the group vector is forked from it, in
+  // chunk order, and each chunk draws from its own substream — across
+  // `pool` when non-null, in a loop otherwise, with identical values.
   [[nodiscard]] LevelRelease ReleaseLevelFromPlan(
       const ReleasePlan& plan, int level_index, double epsilon,
-      gdp::common::Rng& rng, gdp::common::ThreadPool* pool = nullptr) const;
+      gdp::common::Rng& level_rng,
+      gdp::common::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const ReleaseConfig& config() const noexcept { return config_; }
 
@@ -225,13 +238,16 @@ class GroupDpEngine {
   }
 
  private:
-  // Per-level node-scan path (the seed implementation), served from the
-  // same mechanism cache as the plan path.
-  [[nodiscard]] LevelRelease ReleaseLevelWithEpsilon(const BipartiteGraph& graph,
-                                                     const Partition& level,
-                                                     int level_index,
-                                                     double epsilon,
-                                                     gdp::common::Rng& rng) const;
+  // The noise half shared by both level paths: `out` arrives with its true
+  // statistics and sensitivity filled; draws the total from `level_rng`,
+  // then the group vector chunk by chunk (see ReleaseLevelFromPlan), and
+  // applies the clamp post-processing.  A null `vector_mechanism` means the
+  // level is released without group counts.
+  void DrawLevelNoise(LevelRelease& out,
+                      const gdp::dp::NumericMechanism& scalar_mechanism,
+                      const gdp::dp::NumericMechanism* vector_mechanism,
+                      gdp::common::Rng& level_rng,
+                      gdp::common::ThreadPool* pool) const;
 
   // The shared cache when one was given, else the owned one.
   [[nodiscard]] MechanismCache& cache() const noexcept {

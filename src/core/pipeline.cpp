@@ -42,7 +42,6 @@ SessionSpec DisclosureConfig::ToSessionSpec() const {
   spec.delta_cap = delta * 2.0;  // per-level δ headroom
   spec.accounting = accounting;
   spec.strict_level_charging = strict_level_charging;
-  spec.noise_streams = noise_streams;
   return spec;
 }
 

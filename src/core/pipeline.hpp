@@ -43,16 +43,13 @@ struct DisclosureConfig {
   // (GLS tree consistency; requires include_group_counts).  Free in privacy
   // terms — post-processing — and reduces variance at coarse levels.
   bool enforce_consistency{false};
-  // Phase-2 worker threads.  1 (default) releases levels sequentially —
-  // bit-identical to the pre-plan pipeline.  Any other value shards the
-  // plan's node scan across a pool and uses ParallelReleaseAll with
-  // per-level forked RNG streams plus chunked within-level vector noise:
-  // still seed-deterministic for ANY thread count, but a different
-  // (documented) draw order; 0 selects the hardware concurrency.
+  // Worker threads (see ExecSpec::num_threads): wall time only — the
+  // release is identical for every thread count; 0 selects the hardware
+  // concurrency.
   int num_threads{1};
-  // Groups per chunk for the within-level noise draw on the parallel path.
-  // Part of the reproducibility contract (one RNG substream per chunk):
-  // changing it changes the released values; thread count never does.
+  // Groups per chunk of the within-level noise draw.  Part of the
+  // reproducibility contract (one RNG substream per chunk): changing it
+  // changes the released values; thread count never does.
   std::size_t noise_chunk_grain{8192};
   // Ledger composition policy (`disclose --accounting`): kSequential is the
   // historical Σε bound; kAdvanced / kRdp tighten the cumulative (ε, δ) for
@@ -63,11 +60,6 @@ struct DisclosureConfig {
   // as num_levels sequential mechanisms instead of one width-num_levels
   // parallel event.  See SessionSpec::strict_level_charging.
   bool strict_level_charging{false};
-  // How a socket front end assigns request noise streams
-  // (`--noise-streams shared|per-connection`).  See
-  // SessionSpec::noise_streams; the batch pipeline itself always draws from
-  // the one stream it is handed.
-  NoiseStreamMode noise_streams{NoiseStreamMode::kShared};
 
   // The orthogonal-spec views of this flat config (the migration path).
   [[nodiscard]] HierarchySpec ToHierarchySpec() const;

@@ -38,13 +38,6 @@ const LevelRelease& MultiLevelRelease::level(int i) const {
   return levels_[static_cast<std::size_t>(i)];
 }
 
-LevelRelease MultiLevelRelease::TakeLevel(int i) && {
-  if (i < 0 || i >= num_levels()) {
-    throw std::out_of_range("MultiLevelRelease::TakeLevel: index out of range");
-  }
-  return std::move(levels_[static_cast<std::size_t>(i)]);
-}
-
 MultiLevelRelease MultiLevelRelease::StripTruth() const {
   std::vector<LevelRelease> stripped = levels_;
   for (LevelRelease& lr : stripped) {

@@ -52,11 +52,6 @@ class MultiLevelRelease {
   // Copy with all true_* fields zeroed: the disclosable artifact.
   [[nodiscard]] MultiLevelRelease StripTruth() const;
 
-  // Consume the release, yielding one level without copying its per-group
-  // vectors (the serving layer hands out a single entitled view and drops
-  // the rest).  Same bounds contract as level(i).
-  [[nodiscard]] LevelRelease TakeLevel(int i) &&;
-
   // One line per level: level, sensitivity, noise stddev, noisy total, RER.
   [[nodiscard]] std::string Summary() const;
 

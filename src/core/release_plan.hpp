@@ -22,7 +22,7 @@
 // is bit-identical to the per-level path, and a snapshot-adopted plan is
 // bit-identical to a freshly built one (release_plan_test / snapshot_test
 // assert this).  Plans are immutable after Build and safe to share across
-// threads (ParallelReleaseAll reads one concurrently).
+// threads (a pooled ReleaseLevels reads one concurrently).
 #pragma once
 
 #include <cstdint>

@@ -121,9 +121,9 @@ MultiLevelRelease DisclosureSession::Release(const BudgetSpec& budget,
   // is a mechanism-level event (noise kind + multiplier), so a non-
   // sequential accountant can compose it tighter than the (ε, δ) claim.
   ledger_.Charge(compiled_->ChargeEventFor(budget), std::move(label));
-  MultiLevelRelease release = compiled_->DrawRelease(budget, rng);
   ++num_releases_;
-  return release;
+  return MultiLevelRelease(
+      compiled_->DrawLevels(budget, 0, hierarchy().num_levels() - 1, rng));
 }
 
 MultiLevelRelease DisclosureSession::Release(gdp::common::Rng& rng,
@@ -139,7 +139,21 @@ std::optional<MultiLevelRelease> DisclosureSession::TryRelease(
 std::optional<MultiLevelRelease> DisclosureSession::TryRelease(
     const BudgetSpec& budget, gdp::common::Rng& rng, std::string label,
     const ChargeGate& gate) {
+  std::optional<std::vector<LevelRelease>> levels =
+      TryReleaseLevels(budget, 0, hierarchy().num_levels() - 1, rng,
+                       std::move(label), gate);
+  if (!levels.has_value()) {
+    return std::nullopt;
+  }
+  return MultiLevelRelease(std::move(*levels));
+}
+
+std::optional<std::vector<LevelRelease>> DisclosureSession::TryReleaseLevels(
+    const BudgetSpec& budget, int first, int last, gdp::common::Rng& rng,
+    std::string label, const ChargeGate& gate) {
   ValidateBudget(budget);
+  // A bad range is a caller error and must cost nothing.
+  compiled_->CheckLevelRange(first, last, "DisclosureSession::TryReleaseLevels");
   if (label.empty()) {
     label = DefaultReleaseLabel(num_releases_, budget);
   }
@@ -158,9 +172,8 @@ std::optional<MultiLevelRelease> DisclosureSession::TryRelease(
     return std::nullopt;
   }
   ledger_.Charge(event, std::move(label));
-  MultiLevelRelease release = compiled_->DrawRelease(budget, rng);
   ++num_releases_;
-  return release;
+  return compiled_->DrawLevels(budget, first, last, rng);
 }
 
 std::vector<MultiLevelRelease> DisclosureSession::Sweep(

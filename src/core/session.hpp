@@ -16,9 +16,8 @@
 // DETERMINISM: a session adds no randomness of its own.  Open consumes the
 // caller's Rng exactly as the one-shot pipeline's Phase 1 did, and each
 // Release draws only from the Rng passed to it, so a release is bit-identical
-// to the corresponding one-shot RunDisclosure under the same seed — on the
-// sequential path and, with ExecSpec::num_threads != 1, on the parallel path
-// for ANY thread count (ExecSpec::noise_chunk_grain is part of the output
+// to the corresponding one-shot RunDisclosure under the same seed, for ANY
+// ExecSpec::num_threads (ExecSpec::noise_chunk_grain is part of the output
 // contract; thread count never is).  A tenant served from a registry-cached
 // artifact is bit-identical to a fresh session at the same seeds.
 //
@@ -53,10 +52,10 @@
 namespace gdp::core {
 
 // One historical ledger charge, as replayed from a durable audit log: the
-// mechanism-level event plus its audit label.  A session's own charge
-// history is exposed in exactly this shape (ledger().events() / charges()),
-// so a serving layer can persist every committed charge and rebuild the
-// session after a crash via DisclosureSession::Restore.
+// mechanism-level event plus its audit label.  A serving layer persists
+// every committed charge in this shape (one record per grant) and rebuilds
+// the session after a crash via DisclosureSession::Restore, whose ledger
+// merges repeats exactly as the live ledger did.
 struct ReplayedCharge {
   gdp::dp::MechanismEvent event;
   std::string label;
@@ -160,6 +159,17 @@ class DisclosureSession {
   [[nodiscard]] std::optional<MultiLevelRelease> TryRelease(
       const BudgetSpec& budget, gdp::common::Rng& rng, std::string label,
       const ChargeGate& gate);
+
+  // The gated TryRelease restricted to levels [first, last] — the serving
+  // layer's entitled-view path.  Same admission order and the SAME charge as
+  // a full release (ChargeEventFor): drawing fewer levels never charges
+  // less.  The result holds levels first..last, ascending, bit-identical to
+  // those levels of the release TryRelease would draw from the same rng
+  // state (GroupDpEngine::ReleaseLevels).  A bad range throws
+  // std::out_of_range before anything is spent.
+  [[nodiscard]] std::optional<std::vector<LevelRelease>> TryReleaseLevels(
+      const BudgetSpec& budget, int first, int last, gdp::common::Rng& rng,
+      std::string label, const ChargeGate& gate);
 
   // One release per budget — the ε-sweep primitive.  ALL budgets are
   // validated before any noise is drawn (a bad third point rejects the

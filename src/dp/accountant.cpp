@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -80,8 +81,9 @@ BudgetLedger::BudgetLedger(const BudgetLedger& other)
       delta_spent_(other.delta_spent_),
       policy_(other.policy_),
       accountant_(other.accountant_->Clone()),
-      charges_(other.charges_),
-      events_(other.events_) {}
+      history_(other.history_),
+      history_index_(other.history_index_),
+      num_charges_(other.num_charges_) {}
 
 BudgetLedger& BudgetLedger::operator=(const BudgetLedger& other) {
   if (this != &other) {
@@ -110,14 +112,47 @@ bool BudgetLedger::WouldExceedAll(
                            delta_cap_);
 }
 
+namespace {
+
+bool SameEvent(const MechanismEvent& a, const MechanismEvent& b) noexcept {
+  return a.kind == b.kind && a.epsilon == b.epsilon && a.delta == b.delta &&
+         a.noise_multiplier == b.noise_multiplier && a.count == b.count &&
+         a.parallel_width == b.parallel_width;
+}
+
+std::size_t HistoryKey(const MechanismEvent& event, const std::string& label) {
+  std::size_t h = std::hash<std::string>{}(label);
+  const auto mix = [&h](std::size_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  mix(static_cast<std::size_t>(event.kind));
+  mix(std::hash<double>{}(event.epsilon));
+  mix(std::hash<double>{}(event.delta));
+  mix(std::hash<double>{}(event.noise_multiplier));
+  mix(static_cast<std::size_t>(event.count));
+  mix(static_cast<std::size_t>(event.parallel_width));
+  return h;
+}
+
+}  // namespace
+
 void BudgetLedger::CommitCharge(const MechanismEvent& event,
                                 std::string label) {
   accountant_->Spend(event);
   eps_spent_ += event.TotalEpsilon();
   delta_spent_ += event.TotalDelta();
-  charges_.push_back(
-      BudgetCharge{event.TotalEpsilon(), event.TotalDelta(), std::move(label)});
-  events_.push_back(event);
+  ++num_charges_;
+  const std::size_t key = HistoryKey(event, label);
+  const auto [begin, end] = history_index_.equal_range(key);
+  for (auto it = begin; it != end; ++it) {
+    LedgerEntry& entry = history_[it->second];
+    if (SameEvent(entry.event, event) && entry.label == label) {
+      ++entry.count;
+      return;
+    }
+  }
+  history_index_.emplace(key, history_.size());
+  history_.push_back(LedgerEntry{event, std::move(label), 1});
 }
 
 void BudgetLedger::Charge(double epsilon, double delta, std::string label) {
@@ -177,9 +212,13 @@ std::string BudgetLedger::AuditReport() const {
   std::ostringstream os;
   os << "budget ledger (cap eps=" << eps_cap_ << ", delta=" << delta_cap_
      << ", accounting=" << AccountingPolicyName(policy_) << ")\n";
-  for (const auto& c : charges_) {
-    os << "  charge eps=" << c.epsilon << " delta=" << c.delta << "  [" << c.label
-       << "]\n";
+  for (const LedgerEntry& e : history_) {
+    os << "  charge eps=" << e.event.TotalEpsilon()
+       << " delta=" << e.event.TotalDelta() << "  [" << e.label << "]";
+    if (e.count > 1) {
+      os << " x" << e.count;
+    }
+    os << '\n';
   }
   os << "  total  eps=" << eps_spent_ << " delta=" << delta_spent_ << '\n';
   if (policy_ != AccountingPolicy::kSequential) {

@@ -22,10 +22,18 @@
 // tighter.  The ledger always ALSO keeps the naive sequential totals
 // (epsilon_spent / delta_spent) as the audit baseline, so reports can show
 // both the naive and the accountant-tightened cumulative.
+//
+// BOUNDED HISTORY: the totals and the accountant state are exact and O(1);
+// the audit history merges repeated identical charges (same event, same
+// label) into one entry with a count, so a long-lived serving tenant's
+// ledger grows with the number of DISTINCT charges it made, not with its
+// grants.  The per-grant record is the serving layer's write-ahead log.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -48,6 +56,14 @@ namespace gdp::dp {
                                            double delta_slack);
 
 // --- stateful ledger --------------------------------------------------------
+
+// One line of a ledger's charge history: `count` identical charges (same
+// mechanism-level event, same audit label), merged.
+struct LedgerEntry {
+  MechanismEvent event;
+  std::string label;
+  std::uint64_t count{1};
+};
 
 class BudgetLedger {
  public:
@@ -132,12 +148,14 @@ class BudgetLedger {
   }
   [[nodiscard]] double epsilon_cap() const noexcept { return eps_cap_; }
   [[nodiscard]] double delta_cap() const noexcept { return delta_cap_; }
-  [[nodiscard]] const std::vector<BudgetCharge>& charges() const noexcept {
-    return charges_;
+  // The merged charge history, in first-occurrence order: one entry per
+  // distinct (event, label), counting its repeats.
+  [[nodiscard]] const std::vector<LedgerEntry>& history() const noexcept {
+    return history_;
   }
-  // The mechanism-level events behind charges(), index-aligned with it.
-  [[nodiscard]] const std::vector<MechanismEvent>& events() const noexcept {
-    return events_;
+  // Charges committed so far (the sum of the history's counts).
+  [[nodiscard]] std::uint64_t num_charges() const noexcept {
+    return num_charges_;
   }
 
   [[nodiscard]] AccountingPolicy policy() const noexcept { return policy_; }
@@ -157,8 +175,9 @@ class BudgetLedger {
   // from the event stream and detect divergence.
   [[nodiscard]] BudgetCharge AccountedSpendWith(const MechanismEvent& event) const;
 
-  // Multi-line audit trail: one line per charge plus the naive totals, and —
-  // for a non-sequential policy — the accountant-tightened cumulative.
+  // Multi-line audit trail: one line per history entry (suffixed " xN" when
+  // it merges N > 1 charges) plus the naive totals, and — for a
+  // non-sequential policy — the accountant-tightened cumulative.
   [[nodiscard]] std::string AuditReport() const;
 
  private:
@@ -170,8 +189,10 @@ class BudgetLedger {
   double delta_spent_{0.0};
   AccountingPolicy policy_{AccountingPolicy::kSequential};
   std::unique_ptr<PrivacyAccountant> accountant_;
-  std::vector<BudgetCharge> charges_;
-  std::vector<MechanismEvent> events_;
+  std::vector<LedgerEntry> history_;
+  // Hash of (event, label) -> history_ index, for merging repeats.
+  std::unordered_multimap<std::size_t, std::size_t> history_index_;
+  std::uint64_t num_charges_{0};
 };
 
 }  // namespace gdp::dp

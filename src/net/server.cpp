@@ -4,14 +4,17 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
 
+#include <array>
 #include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -41,8 +44,7 @@ Server::Server(gdp::serve::DisclosureService& service,
                const ServerConfig& config)
     : service_(service),
       config_(config),
-      queue_(config.num_workers, config.queue_capacity),
-      rng_(gdp::common::Rng(config.seed).Fork(1)) {
+      queue_(config.num_workers, config.queue_capacity) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) {
     throw gdp::common::IoError(std::string("net::Server: socket(): ") +
@@ -258,14 +260,6 @@ void Server::AcceptReady() {
     assert(!gate_closed_ && "connection registration after the accept gate");
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    conn->id = next_conn_id_++;
-    if (config_.noise_streams == gdp::core::NoiseStreamMode::kPerConnection) {
-      // Fresh-constructed per accept: the stream is a pure function of
-      // (seed, accept order), independent of every other connection.
-      gdp::common::Rng base(config_.seed);
-      gdp::common::Rng ns = base.Fork(2);
-      conn->rng = ns.Fork(conn->id);
-    }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     connections_open_.fetch_add(1, std::memory_order_relaxed);
     conns_.emplace(fd, conn);
@@ -532,6 +526,11 @@ bool Server::HandlePayload(const std::shared_ptr<Connection>& conn,
       return true;
   }
 
+  // Number the request before anything can refuse it, so the n-th request
+  // frame read is request n whatever happens to the ones before it — the
+  // same numbering the batch driver's line index gives.
+  const std::uint64_t sequence = next_request_seq_++;
+
   // Admission.  Decode just far enough for the tenant id — the full decode
   // (and any expensive work) belongs to the worker; a malformed body is
   // caught there and answered typed.
@@ -571,10 +570,10 @@ bool Server::HandlePayload(const std::shared_ptr<Connection>& conn,
     return true;
   }
   std::string job_payload = payload;
-  const bool accepted = queue_.TrySubmit([this, conn, tenant,
+  const bool accepted = queue_.TrySubmit([this, conn, tenant, sequence,
                                           job_payload = std::move(
                                               job_payload)]() {
-    RunJob(conn, job_payload);
+    RunJob(conn, job_payload, sequence);
     ReleaseTenant(tenant);
   });
   if (!accepted) {
@@ -591,35 +590,17 @@ bool Server::HandlePayload(const std::shared_ptr<Connection>& conn,
 }
 
 void Server::RunJob(const std::shared_ptr<Connection>& conn,
-                    const std::string& payload) {
-  // Which stream this request's noise comes from (the determinism
-  // contract in the header): the ONE shared batch-parity stream under the
-  // global mutex, or the connection's own forked substream under its own
-  // lock — zero global acquisitions on this path.
-  const bool per_conn =
-      config_.noise_streams == gdp::core::NoiseStreamMode::kPerConnection;
-  const auto with_rng = [&](auto&& serve) {
-    if (per_conn) {
-      const std::lock_guard<std::mutex> lock(conn->rng_mutex);
-      serve(conn->rng);
-    } else {
-      rng_mutex_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      const std::lock_guard<std::mutex> lock(rng_mutex_);
-      serve(rng_);
-    }
-  };
+                    const std::string& payload, std::uint64_t sequence) {
+  // This request's own stream: no lock, no state shared with any other
+  // request (the determinism contract in the header).
+  gdp::common::Rng rng = gdp::serve::RequestStream(config_.seed, sequence);
   std::string response;
   try {
-    // Decode outside the rng lock (hostile bytes must not serialize the
-    // fleet), but serve under it: every noise draw comes off the selected
-    // stream in job-execution order.
     switch (wire::PeekKind(payload)) {
       case wire::MsgKind::kServeRequest: {
         const wire::ServeRequest req = wire::DecodeServeRequest(payload);
-        with_rng([&](gdp::common::Rng& rng) {
-          response = wire::Encode(wire::ServeOutcome::FromResult(service_.Serve(
-              req.tenant, req.dataset, req.budget.ToBudgetSpec(), rng)));
-        });
+        response = wire::Encode(wire::ServeOutcome::FromResult(service_.Serve(
+            req.tenant, req.dataset, req.budget.ToBudgetSpec(), rng)));
         break;
       }
       case wire::MsgKind::kSweepRequest: {
@@ -629,34 +610,30 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn,
         for (const wire::WireBudget& b : req.budgets) {
           budgets.push_back(b.ToBudgetSpec());
         }
-        with_rng([&](gdp::common::Rng& rng) {
-          const std::vector<gdp::serve::ServeResult> results =
-              service_.ServeSweep(req.tenant, req.dataset, budgets, rng);
-          wire::SweepResponse out;
-          out.outcomes.reserve(results.size());
-          for (const gdp::serve::ServeResult& r : results) {
-            out.outcomes.push_back(wire::ServeOutcome::FromResult(r));
-          }
-          response = wire::Encode(out);
-        });
+        std::vector<gdp::serve::ServeResult> results =
+            service_.ServeSweep(req.tenant, req.dataset, budgets, rng);
+        wire::SweepResponse out;
+        out.outcomes.reserve(results.size());
+        for (gdp::serve::ServeResult& r : results) {
+          out.outcomes.push_back(wire::ServeOutcome::FromResult(std::move(r)));
+        }
+        response = wire::Encode(out);
         break;
       }
       case wire::MsgKind::kDrilldownRequest: {
         const wire::DrilldownRequest req =
             wire::DecodeDrilldownRequest(payload);
-        with_rng([&](gdp::common::Rng& rng) {
-          const gdp::serve::DrilldownResult result = service_.ServeDrilldown(
-              req.tenant, req.dataset, req.budget.ToBudgetSpec(),
-              static_cast<gdp::graph::Side>(req.side), req.node, rng);
-          wire::DrilldownResponse out;
-          out.outcome = wire::ServeOutcome::FromResult(result.serve);
-          out.chain.reserve(result.chain.size());
-          for (const gdp::core::DrillDownEntry& e : result.chain) {
-            out.chain.push_back({e.level, e.group, e.group_size,
-                                 e.noisy_count, e.true_count});
-          }
-          response = wire::Encode(out);
-        });
+        gdp::serve::DrilldownResult result = service_.ServeDrilldown(
+            req.tenant, req.dataset, req.budget.ToBudgetSpec(),
+            static_cast<gdp::graph::Side>(req.side), req.node, rng);
+        wire::DrilldownResponse out;
+        out.outcome = wire::ServeOutcome::FromResult(std::move(result.serve));
+        out.chain.reserve(result.chain.size());
+        for (const gdp::core::DrillDownEntry& e : result.chain) {
+          out.chain.push_back({e.level, e.group, e.group_size, e.noisy_count,
+                               e.true_count});
+        }
+        response = wire::Encode(out);
         break;
       }
       case wire::MsgKind::kAnswerRequest: {
@@ -675,20 +652,18 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn,
           spec.max_degree = q.param;
           queries.push_back(spec);
         }
-        with_rng([&](gdp::common::Rng& rng) {
-          const gdp::serve::AnswerResult result = service_.ServeAnswer(
-              req.tenant, req.dataset, req.budget.ToBudgetSpec(), queries,
-              rng);
-          wire::AnswerResponse out;
-          out.outcome = wire::ServeOutcome::FromResult(result.serve);
-          out.results.reserve(result.results.size());
-          for (const gdp::query::QueryRunResult& r : result.results) {
-            out.results.push_back({r.query_name, r.sensitivity,
-                                   r.noise_stddev, r.truth, r.noisy,
-                                   r.mean_rer, r.mae, r.rmse});
-          }
-          response = wire::Encode(out);
-        });
+        gdp::serve::AnswerResult result = service_.ServeAnswer(
+            req.tenant, req.dataset, req.budget.ToBudgetSpec(), queries, rng);
+        wire::AnswerResponse out;
+        out.outcome = wire::ServeOutcome::FromResult(std::move(result.serve));
+        out.results.reserve(result.results.size());
+        for (gdp::query::QueryRunResult& r : result.results) {
+          out.results.push_back({std::move(r.query_name), r.sensitivity,
+                                 r.noise_stddev, std::move(r.truth),
+                                 std::move(r.noisy), r.mean_rer, r.mae,
+                                 r.rmse});
+        }
+        response = wire::Encode(out);
         break;
       }
       default:
@@ -729,32 +704,46 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn,
 
 void Server::Send(const std::shared_ptr<Connection>& conn,
                   const std::string& payload) {
-  std::string framed;
+  std::array<char, wire::kFrameHeaderSize> header{};
+  std::string substitute;
+  std::string_view body = payload;
   try {
-    framed = wire::Frame(payload);
+    header = wire::FrameHeader(body);
   } catch (const NetProtocolError&) {
     // A response too large to frame: substitute a typed error (the client
     // must see SOMETHING for its request).
-    framed = wire::Frame(wire::Encode(wire::ErrorResponse{
-        wire::ErrorCode::kInternal, "response exceeds the frame cap"}));
+    substitute = wire::Encode(wire::ErrorResponse{
+        wire::ErrorCode::kInternal, "response exceeds the frame cap"});
+    body = substitute;
+    header = wire::FrameHeader(body);
   }
+  const std::size_t total = header.size() + body.size();
   bool park = false;
   {
     const std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (conn->fd < 0 || !conn->alive.load(std::memory_order_acquire)) {
       return;
     }
-    if (!conn->outbox.empty()) {
-      // Earlier bytes are still queued: appending preserves response order
-      // on the connection.
-      conn->outbox.append(framed);
-      park = true;
-    } else {
-      std::size_t sent = 0;
-      while (sent < framed.size()) {
-        const ssize_t n = ::send(conn->fd, framed.data() + sent,
-                                 framed.size() - sent,
-                                 MSG_NOSIGNAL | MSG_DONTWAIT);
+    std::size_t sent = 0;
+    if (conn->outbox.empty()) {
+      while (sent < total) {
+        // Header and payload as two iovecs: the payload is never copied
+        // into a framed buffer on the path that does not park.
+        iovec iov[2];
+        int iovcnt = 0;
+        if (sent < header.size()) {
+          iov[iovcnt++] = {header.data() + sent, header.size() - sent};
+          iov[iovcnt++] = {const_cast<char*>(body.data()), body.size()};
+        } else {
+          const std::size_t off = sent - header.size();
+          iov[iovcnt++] = {const_cast<char*>(body.data()) + off,
+                           body.size() - off};
+        }
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
+        const ssize_t n =
+            ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
         if (n < 0) {
           if (errno == EINTR) {
             continue;
@@ -763,8 +752,6 @@ void Server::Send(const std::shared_ptr<Connection>& conn,
             // Slow client: park the remainder and let EPOLLOUT finish the
             // frame — this worker moves on to the next job immediately.
             partial_writes_.fetch_add(1, std::memory_order_relaxed);
-            conn->outbox.assign(framed, sent, std::string::npos);
-            park = true;
             break;
           }
           // Hard error (peer reset): the I/O thread observes EPOLLHUP/ERR
@@ -773,6 +760,17 @@ void Server::Send(const std::shared_ptr<Connection>& conn,
           return;
         }
         sent += static_cast<std::size_t>(n);
+      }
+    }
+    if (sent < total) {
+      // Earlier bytes still queued (append preserves response order on the
+      // connection) or a partial write: the unsent tail goes to the outbox.
+      park = true;
+      if (sent < header.size()) {
+        conn->outbox.append(header.data() + sent, header.size() - sent);
+        conn->outbox.append(body);
+      } else {
+        conn->outbox.append(body.substr(sent - header.size()));
       }
     }
   }
@@ -902,9 +900,8 @@ wire::StatsResponse Server::GetStats() const {
   s.queue_high_watermark = q.high_watermark;
   s.workers = q.workers;
   s.io_threads = io_threads();
-  s.noise_streams = static_cast<std::uint8_t>(config_.noise_streams);
-  s.rng_mutex_acquisitions =
-      rng_mutex_acquisitions_.load(std::memory_order_relaxed);
+  // noise_streams and rng_mutex_acquisitions stay 0: one stream per
+  // request, no noise lock.
   s.partial_writes = partial_writes_.load(std::memory_order_relaxed);
   return s;
 }

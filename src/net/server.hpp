@@ -30,19 +30,16 @@
 // connections between complete requests are never on the clock, which is
 // what lets thousands of mostly-idle connections sit on one thread.
 //
-// DETERMINISM has two modes (ServerConfig::noise_streams):
-//   - kShared (default): all noise is drawn from ONE request stream,
-//     Rng(seed).Fork(1) — the same stream `gdp_tool serve --requests`
-//     consumes — guarded by rng_mutex_, so workers serialize exactly the
-//     service calls that draw noise.  A sequential client receives
-//     bit-identical results to the in-process batch driver at the same seed
-//     (tests/net_parity_test.cpp).
-//   - kPerConnection: each connection owns Rng(seed).Fork(2).Fork(id) where
-//     id is the accept order (0-based).  No global lock on the hot path
-//     (rng_mutex_acquisitions stays 0 — the Stats seam pins it); results
-//     are a pure function of (seed, id, per-connection request order).
-//     Fork salt 2 keeps the namespace disjoint from the batch stream's
-//     Fork(1), so neither mode can alias the other.
+// DETERMINISM: the I/O thread numbers request frames (Serve, Sweep,
+// Drilldown, Answer — Stats excluded) in the order it reads them, 0-based
+// across all connections, refused ones included, and request n draws its
+// noise from serve::RequestStream(seed, n).  Workers therefore draw with no
+// global lock, and a request's result is a pure function of (seed, its
+// number, the service state it meets).  A sequential client's n-th request
+// is request n, exactly as the batch driver's n-th line is, so the two
+// produce bit-identical results at the same seed
+// (tests/net_parity_test.cpp); two servers fed the same sequential stream
+// reply with identical bytes (tests/net_epoll_test.cpp).
 //
 // SHUTDOWN drains in phases: the accept gate closes FIRST (no connection can
 // register mid-stop — the I/O thread is the only registrar and it checks the
@@ -68,9 +65,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/sharded_counter.hpp"
-#include "core/compiled_disclosure.hpp"
 #include "net/job_queue.hpp"
 #include "net/wire.hpp"
 #include "serve/service.hpp"
@@ -87,12 +82,9 @@ struct ServerConfig {
   // magic) before the slow-loris sweep closes it.  Idle connections between
   // complete requests are not subject to it.
   int read_timeout_ms{5000};
-  // Seed for the request noise stream(s); must match the batch driver's seed
-  // for socket-vs-batch parity in kShared mode.
+  // Seed of the per-request noise streams; must match the batch driver's
+  // seed for socket-vs-batch parity.
   std::uint64_t seed{42};
-  // Which noise stream a request draws from; see the determinism contract
-  // above.  kShared is the batch-parity default.
-  gdp::core::NoiseStreamMode noise_streams{gdp::core::NoiseStreamMode::kShared};
 };
 
 class Server {
@@ -126,12 +118,6 @@ class Server {
     return 1;
   }
 
-  // Global rng_mutex_ acquisitions on the request hot path.  The
-  // per-connection-mode test asserts this stays 0 under concurrent load.
-  [[nodiscard]] std::uint64_t rng_mutex_acquisitions() const noexcept {
-    return rng_mutex_acquisitions_.load(std::memory_order_relaxed);
-  }
-
   // Test seam: freeze/thaw the worker pool to build deterministic overload
   // (net_server_test fills the queue while paused and counts the sheds).
   [[nodiscard]] JobQueue& queue() noexcept { return queue_; }
@@ -143,7 +129,6 @@ class Server {
   // under write_mutex.  Only the I/O thread closes the fd or talks to epoll.
   struct Connection {
     int fd{-1};
-    std::uint64_t id{0};  // accept order; keys the per-connection stream
     std::atomic<bool> alive{true};
 
     std::mutex write_mutex;
@@ -156,11 +141,6 @@ class Server {
     bool on_clock{false};  // owes us bytes (partial magic/frame)
     std::chrono::steady_clock::time_point deadline{};
 
-    // kPerConnection noise stream.  The mutex serializes draws from
-    // pipelined requests on ONE connection (cross-connection draws never
-    // contend).
-    std::mutex rng_mutex;
-    gdp::common::Rng rng;
   };
 
   void IoLoop();
@@ -184,10 +164,13 @@ class Server {
   // (framing-level violation).
   [[nodiscard]] bool HandlePayload(const std::shared_ptr<Connection>& conn,
                                    const std::string& payload);
+  // Serve one request on a worker, drawing from RequestStream(seed,
+  // sequence).
   void RunJob(const std::shared_ptr<Connection>& conn,
-              const std::string& payload);
-  // Frame + send a payload: direct nonblocking send under write_mutex;
-  // a partial write parks the remainder in the outbox and re-arms EPOLLOUT.
+              const std::string& payload, std::uint64_t sequence);
+  // Frame + send a payload: header and payload go out as two iovecs of one
+  // nonblocking sendmsg under write_mutex (no framed copy); a partial write
+  // parks the remainder in the outbox and re-arms EPOLLOUT.
   void Send(const std::shared_ptr<Connection>& conn,
             const std::string& payload);
   void SendError(const std::shared_ptr<Connection>& conn, wire::ErrorCode code,
@@ -224,18 +207,13 @@ class Server {
   // (accept) and erases (close), so Stop() cannot race a registration — the
   // accept gate is checked on the same thread that registers.
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
-  std::uint64_t next_conn_id_{0};  // I/O-thread-private accept order
+  // I/O-thread-private request numbering: keys each request's noise stream.
+  std::uint64_t next_request_seq_{0};
 
   // Connections whose outbox gained bytes from a worker; the I/O thread
   // drains this (under the same mutex) and arms EPOLLOUT.
   std::mutex pending_mutex_;
   std::vector<std::shared_ptr<Connection>> pending_writes_;
-
-  // The one shared request noise stream (kShared mode); guards both the Rng
-  // and the draw order.
-  std::mutex rng_mutex_;
-  gdp::common::Rng rng_;
-  std::atomic<std::uint64_t> rng_mutex_acquisitions_{0};
 
   std::mutex inflight_mutex_;
   std::map<std::string, int> inflight_;

@@ -13,22 +13,15 @@ namespace {
 using gdp::common::NetProtocolError;
 
 // Append-only little-endian serializer.  Strings and vectors are prefixed
-// with a u32 count; doubles travel by IEEE-754 bit pattern.
+// with a u32 count; doubles travel by IEEE-754 bit pattern.  Fixed-width
+// values and f64 vectors are appended in bulk (one resize + copy).
 class Writer {
  public:
   explicit Writer(MsgKind kind) { U8(static_cast<std::uint8_t>(kind)); }
 
   void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  }
+  void U32(std::uint32_t v) { Le(v); }
+  void U64(std::uint64_t v) { Le(v); }
   void I32(std::int32_t v) { U32(std::bit_cast<std::uint32_t>(v)); }
   void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
   void Str(std::string_view s) {
@@ -40,14 +33,35 @@ class Writer {
   }
   void F64Vec(const std::vector<double>& v) {
     U32(static_cast<std::uint32_t>(v.size()));
-    for (double d : v) {
-      F64(d);
+    if constexpr (std::endian::native == std::endian::little) {
+      const std::size_t at = out_.size();
+      out_.resize(at + v.size() * sizeof(double));
+      if (!v.empty()) {
+        std::memcpy(out_.data() + at, v.data(), v.size() * sizeof(double));
+      }
+    } else {
+      for (const double d : v) {
+        F64(d);
+      }
     }
   }
 
   [[nodiscard]] std::string Take() && { return std::move(out_); }
 
  private:
+  template <typename T>
+  void Le(T v) {
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof(T));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out_.data() + at, &v, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out_[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+      }
+    }
+  }
+
   std::string out_;
 };
 
@@ -97,10 +111,16 @@ class Reader {
   }
   [[nodiscard]] std::vector<double> F64Vec() {
     const std::uint32_t count = Count(8, "f64 vector");
-    std::vector<double> v;
-    v.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      v.push_back(F64());
+    std::vector<double> v(count);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count > 0) {
+        std::memcpy(v.data(), data_.data() + pos_, count * sizeof(double));
+        pos_ += count * sizeof(double);
+      }
+    } else {
+      for (double& d : v) {
+        d = F64();
+      }
     }
     return v;
   }
@@ -286,9 +306,13 @@ WireBudget WireBudget::FromBudgetSpec(const gdp::core::BudgetSpec& b) {
 }
 
 ServeOutcome ServeOutcome::FromResult(const gdp::serve::ServeResult& result) {
+  return FromResult(gdp::serve::ServeResult(result));
+}
+
+ServeOutcome ServeOutcome::FromResult(gdp::serve::ServeResult&& result) {
   ServeOutcome o;
   o.granted = result.granted;
-  o.denial_reason = result.denial_reason;
+  o.denial_reason = std::move(result.denial_reason);
   o.privilege = result.privilege;
   o.level = result.level;
   o.epsilon_spent = result.epsilon_spent;
@@ -296,24 +320,31 @@ ServeOutcome ServeOutcome::FromResult(const gdp::serve::ServeResult& result) {
   o.accounting = static_cast<std::uint8_t>(result.accounting);
   o.accounted_epsilon = result.accounted_epsilon;
   o.accounted_delta = result.accounted_delta;
-  o.view = result.view;
+  o.view = std::move(result.view);
   return o;
 }
 
-std::string Frame(std::string_view payload) {
+std::array<char, kFrameHeaderSize> FrameHeader(std::string_view payload) {
   if (payload.empty() || payload.size() > kMaxPayload) {
     throw NetProtocolError("GDPNET01 frame: payload size out of range");
   }
   const auto len = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t crc = gdp::common::Crc32(payload);
+  std::array<char, kFrameHeaderSize> header{};
+  for (int i = 0; i < 4; ++i) {
+    header[static_cast<std::size_t>(i)] =
+        static_cast<char>((len >> (8 * i)) & 0xFF);
+    header[static_cast<std::size_t>(4 + i)] =
+        static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+  return header;
+}
+
+std::string Frame(std::string_view payload) {
+  const std::array<char, kFrameHeaderSize> header = FrameHeader(payload);
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((len >> (8 * i)) & 0xFF));
-  }
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
+  out.append(header.data(), header.size());
   out.append(payload);
   return out;
 }

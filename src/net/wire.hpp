@@ -29,6 +29,7 @@
 // sockets by Server/Client.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -156,6 +157,9 @@ struct ServeOutcome {
 
   [[nodiscard]] static ServeOutcome FromResult(
       const gdp::serve::ServeResult& result);
+  // Same, moving the view's vectors out of a result that is about to die.
+  [[nodiscard]] static ServeOutcome FromResult(
+      gdp::serve::ServeResult&& result);
 };
 
 struct SweepResponse {
@@ -226,10 +230,11 @@ struct StatsResponse {
   // I/O layer (epoll front end).  io_threads is the reader-thread count —
   // O(1), independent of connections_open (the scalability contract).
   std::uint64_t io_threads{0};
-  // 0 = shared (batch-parity stream), 1 = per-connection forked streams.
+  // Noise-stream model.  Always 0: every request draws from its own
+  // per-request-sequence stream (the field keeps the GDPNET01 layout).
   std::uint8_t noise_streams{0};
-  // Global rng_mutex_ acquisitions on the request hot path.  Stays flat in
-  // per-connection mode — the test seam for the zero-contention claim.
+  // Global noise-lock acquisitions on the request hot path.  Always 0 —
+  // there is no such lock; kept in the layout for clients that read it.
   std::uint64_t rng_mutex_acquisitions{0};
   // Responses that hit EAGAIN mid-frame and finished via EPOLLOUT re-arm.
   std::uint64_t partial_writes{0};
@@ -246,9 +251,15 @@ struct ErrorResponse {
 
 // --- framing ---------------------------------------------------------------
 
-// Wrap an already-encoded payload ([kind][body]) in a frame header.
-// Throws NetProtocolError when the payload is empty or exceeds kMaxPayload
-// (a response too large to frame must fail typed, not truncated).
+// The frame header (length + CRC) for an already-encoded payload
+// ([kind][body]).  Throws NetProtocolError when the payload is empty or
+// exceeds kMaxPayload (a response too large to frame must fail typed, not
+// truncated).  A sender can write header and payload as two buffers
+// without copying the payload.
+[[nodiscard]] std::array<char, kFrameHeaderSize> FrameHeader(
+    std::string_view payload);
+
+// FrameHeader(payload) followed by the payload, as one string.
 [[nodiscard]] std::string Frame(std::string_view payload);
 
 // Split one frame off the front of `buffer`.  Returns the payload and erases

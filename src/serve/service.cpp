@@ -11,6 +11,23 @@
 
 namespace gdp::serve {
 
+gdp::common::Rng RequestStream(std::uint64_t seed, std::uint64_t sequence) {
+  gdp::common::Rng stream = gdp::common::Rng(seed).Fork(1);
+  stream.Advance(sequence);
+  return stream;
+}
+
+namespace {
+
+// Every serving entry point takes exactly one value off the stream it is
+// handed and draws everything else from the child forked here.  That is
+// what makes RequestStream(seed, n) — position n of the batch stream — the
+// stream request n sees, whether a caller threads one stream through n
+// calls or hands each call its own.
+gdp::common::Rng TakeRequestStream(gdp::common::Rng& rng) { return rng.Fork(0); }
+
+}  // namespace
+
 DisclosureService::DisclosureService(std::size_t registry_capacity)
     : registry_(registry_capacity) {}
 
@@ -358,6 +375,7 @@ ServeResult DisclosureService::Serve(const std::string& tenant,
                                      const std::string& dataset,
                                      const gdp::core::BudgetSpec& budget,
                                      gdp::common::Rng& rng) {
+  gdp::common::Rng stream = TakeRequestStream(rng);
   ServeResult result;
   const Admission adm = Admit(tenant, dataset, result);
   if (adm.entry == nullptr) {
@@ -372,27 +390,27 @@ ServeResult DisclosureService::Serve(const std::string& tenant,
   std::string gate_denial;
   const gdp::core::ChargeGate gate =
       MakeGate(tenant, dataset, *adm.entry, label, gate_denial);
-  std::optional<gdp::core::MultiLevelRelease> release =
-      adm.entry->session.TryRelease(budget, rng, label, gate);
+  // Draw the entitled level only; the charge is still the full release's.
+  // `level` was bounds-checked against the hierarchy by Admit.
+  std::optional<std::vector<gdp::core::LevelRelease>> levels =
+      adm.entry->session.TryReleaseLevels(budget, adm.level, adm.level, stream,
+                                          label, gate);
   FinishFromLedger(result, *adm.entry, budget, std::move(gate_denial),
-                   release.has_value());
-  if (!release.has_value()) {
-    return result;
+                   levels.has_value());
+  if (levels.has_value()) {
+    result.view = std::move(levels->front());
   }
-  // The release is ours and about to die: move the entitled level out
-  // instead of deep-copying its per-group vectors.  `level` was bounds-
-  // checked against the hierarchy by Admit.
-  result.view = std::move(*release).TakeLevel(adm.level);
   return result;
 }
 
 std::vector<ServeResult> DisclosureService::ServeSweep(
     const std::string& tenant, const std::string& dataset,
     std::span<const gdp::core::BudgetSpec> budgets, gdp::common::Rng& rng) {
+  gdp::common::Rng stream = TakeRequestStream(rng);
   std::vector<ServeResult> results;
   results.reserve(budgets.size());
   for (const gdp::core::BudgetSpec& budget : budgets) {
-    results.push_back(Serve(tenant, dataset, budget, rng));
+    results.push_back(Serve(tenant, dataset, budget, stream));
   }
   return results;
 }
@@ -401,36 +419,38 @@ DrilldownResult DisclosureService::ServeDrilldown(
     const std::string& tenant, const std::string& dataset,
     const gdp::core::BudgetSpec& budget, gdp::graph::Side side,
     gdp::graph::NodeIndex v, gdp::common::Rng& rng) {
+  gdp::common::Rng stream = TakeRequestStream(rng);
   DrilldownResult result;
   const Admission adm = Admit(tenant, dataset, result.serve);
   if (adm.entry == nullptr) {
     return result;
   }
+  // No node id in the label: the drilled node is not a privacy parameter,
+  // and leaving it out lets the ledger merge repeated drilldowns.
   const std::string label =
-      "serve+drilldown dataset=" + dataset + ": node (" +
-      (side == gdp::graph::Side::kLeft ? "left" : "right") + ", " +
-      std::to_string(v) +
-      "), phase2 noise eps_g=" + std::to_string(budget.phase2_epsilon()) +
-      " (" + gdp::core::NoiseKindName(budget.noise) + ")";
+      "serve+drilldown dataset=" + dataset +
+      ": phase2 noise eps_g=" + std::to_string(budget.phase2_epsilon()) + " (" +
+      gdp::core::NoiseKindName(budget.noise) + ")";
 
   const std::lock_guard<std::mutex> lock(adm.entry->mutex);
   std::string gate_denial;
   const gdp::core::ChargeGate gate =
       MakeGate(tenant, dataset, *adm.entry, label, gate_denial);
-  std::optional<gdp::core::MultiLevelRelease> release =
-      adm.entry->session.TryRelease(budget, rng, label, gate);
+  // The entitled level through the coarsest — never finer: levels below the
+  // entitled level belong to higher tiers, and drill-down must not become a
+  // side channel around the access policy.
+  std::optional<std::vector<gdp::core::LevelRelease>> levels =
+      adm.entry->session.TryReleaseLevels(
+          budget, adm.level, adm.compiled->hierarchy().depth(), stream, label,
+          gate);
   FinishFromLedger(result.serve, *adm.entry, budget, std::move(gate_denial),
-                   release.has_value());
-  if (!release.has_value()) {
+                   levels.has_value());
+  if (!levels.has_value()) {
     return result;
   }
-  // Chain from the COARSEST level down to the entitled one — never finer:
-  // levels below the entitled level belong to higher tiers, and drill-down
-  // must not become a side channel around the access policy.  Pure
-  // post-processing over the release this request already paid for.
-  result.chain = adm.entry->session.Drilldown(
-      *release, side, v, adm.compiled->hierarchy().depth(), adm.level);
-  result.serve.view = std::move(*release).TakeLevel(adm.level);
+  // Pure post-processing over the levels this request already paid for.
+  result.chain = adm.compiled->Drilldown(*levels, side, v);
+  result.serve.view = std::move(levels->front());
   return result;
 }
 
@@ -439,6 +459,7 @@ AnswerResult DisclosureService::ServeAnswer(const std::string& tenant,
                                             const gdp::core::BudgetSpec& budget,
                                             std::span<const QuerySpec> queries,
                                             gdp::common::Rng& rng) {
+  gdp::common::Rng stream = TakeRequestStream(rng);
   if (queries.empty()) {
     throw std::invalid_argument(
         "DisclosureService::ServeAnswer: empty query list (an empty workload "
@@ -483,7 +504,7 @@ AnswerResult DisclosureService::ServeAnswer(const std::string& tenant,
   const gdp::core::ChargeGate gate =
       MakeGate(tenant, dataset, *adm.entry, label, gate_denial);
   std::optional<std::vector<gdp::query::QueryRunResult>> answers =
-      adm.entry->session.TryAnswer(workload, adm.level, budget, rng, label,
+      adm.entry->session.TryAnswer(workload, adm.level, budget, stream, label,
                                    gate);
   FinishFromLedger(result.serve, *adm.entry, budget, std::move(gate_denial),
                    answers.has_value());

@@ -10,8 +10,16 @@
 //
 // plus the live per-tenant state: one DisclosureSession handle per
 // (tenant, artifact), holding that tenant's ledger.  Serve(tenant, dataset,
-// budget, rng) draws a full multi-level release against the tenant's grant
-// and returns ONLY the level view the tenant's tier is entitled to.
+// budget, rng) charges a full multi-level release against the tenant's grant
+// but draws and returns ONLY the level view the tenant's tier is entitled
+// to (bit-identical to that level of the full release).
+//
+// NOISE STREAMS: every serving entry point takes exactly one value off the
+// Rng it is handed and draws from a child forked from it.  Request n of a
+// server seeded s therefore draws from RequestStream(s, n) — the same
+// stream the n-th call sees when one Rng(s).Fork(1) is threaded through n
+// sequential calls — so the socket server, the batch driver and an
+// in-process caller agree bit for bit without sharing a stream or a lock.
 //
 // Two accounting spines run under Serve:
 //
@@ -68,6 +76,14 @@
 #include "serve/tenant_broker.hpp"
 
 namespace gdp::serve {
+
+// The noise stream of request `sequence` (0-based) under server seed `seed`:
+// position `sequence` of the batch stream Rng(seed).Fork(1), reached by
+// jump-ahead in O(log sequence).  The one definition the socket server (its
+// I/O thread numbers requests as it reads them) and the batch driver (the
+// request's line index) share; see docs/SERVING.md.
+[[nodiscard]] gdp::common::Rng RequestStream(std::uint64_t seed,
+                                             std::uint64_t sequence);
 
 struct ServeResult {
   // False iff the request was denied without a throw: the tenant's grant
@@ -193,20 +209,23 @@ class DisclosureService {
   [[nodiscard]] DurabilityStats durability_stats() const noexcept;
 
   // Serve tenant `tenant` its entitled view of `dataset` under `budget`,
-  // drawing noise from `rng`.  Compiles the artifact on first touch of the
-  // dataset (registry miss) and attaches the tenant's session (charging the
-  // Phase-1 spend to its ledger) on first touch by this tenant; both are
-  // cached thereafter.  Deterministic: a tenant served via the registry is
-  // bit-identical to a fresh DisclosureSession at the same seeds
-  // (serve_test pins this), and the WAL adds no randomness — a durable run
-  // releases bit-identical values to a WAL-less run at the same seeds.
+  // drawing noise from a child of `rng` (one value taken; see NOISE STREAMS
+  // above).  Only the entitled level is drawn; the charge is the full
+  // release's.  Compiles the artifact on first touch of the dataset
+  // (registry miss) and attaches the tenant's session (charging the Phase-1
+  // spend to its ledger) on first touch by this tenant; both are cached
+  // thereafter.  Deterministic: the view is bit-identical to the entitled
+  // level of a fresh DisclosureSession's Release from rng.Fork(0) at the
+  // same seeds (serve_test pins this), and the WAL adds no randomness — a
+  // durable run releases bit-identical values to a WAL-less run.
   [[nodiscard]] ServeResult Serve(const std::string& tenant,
                                   const std::string& dataset,
                                   const gdp::core::BudgetSpec& budget,
                                   gdp::common::Rng& rng);
 
-  // One Serve per budget, in order, against the SHARED noise stream `rng` —
-  // a sequential sweep, not DisclosureSession::Sweep's forked-stream batch:
+  // One Serve per budget, in order, each forking from the request's one
+  // child of `rng` — a sequential sweep, not DisclosureSession::Sweep's
+  // forked-stream batch:
   // each point is admitted, gated, and charged independently, and a denied
   // point is recorded (granted == false) while later points still run.  The
   // sweep is NOT atomic across points — by design, since the serving layer's
@@ -216,12 +235,13 @@ class DisclosureService {
       const std::string& tenant, const std::string& dataset,
       std::span<const gdp::core::BudgetSpec> budgets, gdp::common::Rng& rng);
 
-  // Serve + drill-down in one request: draw a release exactly as Serve does
-  // (same charge, same denial semantics; the entitled view is in
-  // result.serve.view) and, when granted, walk node (side, v)'s
-  // enclosing-group chain from the hierarchy's coarsest level down to the
-  // ENTITLED level — never below it, because finer levels belong to higher
-  // tiers (drill-down itself is pure post-processing, no extra charge).
+  // Serve + drill-down in one request: charged exactly as Serve (same
+  // event, same denial semantics; the entitled view is in
+  // result.serve.view), drawing the entitled level through the coarsest
+  // and, when granted, walking node (side, v)'s enclosing-group chain from
+  // the coarsest level down to the ENTITLED level — never below it, because
+  // finer levels belong to higher tiers (drill-down itself is pure
+  // post-processing, no extra charge).
   // Throws std::out_of_range when `v` is not a node of `side`.
   [[nodiscard]] DrilldownResult ServeDrilldown(
       const std::string& tenant, const std::string& dataset,

@@ -17,9 +17,9 @@ std::string SessionRegistry::Fingerprint(const gdp::core::SessionSpec& spec,
                                          std::uint64_t compile_seed) {
   // Canonical, human-debuggable encoding; exact (hexfloat) for the doubles
   // so two specs collide iff they would compile bit-identical artifacts.
-  // num_threads is folded to the one bit that matters for the output
-  // contract (pool vs no pool); the pool's size never changes the bits, so
-  // tenants on 2 and on 8 threads share one artifact.
+  // num_threads is left out: no pool, or a pool of any size, compiles and
+  // releases the same bits, so tenants on 1 and on 8 threads share one
+  // artifact (and a snapshot packed at one thread count adopts at any).
   std::ostringstream os;
   os << std::hexfloat;
   const gdp::core::HierarchySpec& h = spec.hierarchy;
@@ -30,7 +30,6 @@ std::string SessionRegistry::Fingerprint(const gdp::core::SessionSpec& spec,
      << ";c=" << h.max_cut_candidates << ";v=" << (h.validate_hierarchy ? 1 : 0)
      << ";eps=" << b.epsilon_g << ";delta=" << b.delta
      << ";f1=" << b.phase1_fraction << ";n=" << static_cast<int>(b.noise)
-     << ";par=" << (e.num_threads != 1 ? 1 : 0)
      << ";grain=" << e.noise_chunk_grain
      << ";gc=" << (e.include_group_counts ? 1 : 0)
      << ";cons=" << (e.enforce_consistency ? 1 : 0)

@@ -96,7 +96,7 @@ TEST(BudgetLedgerTest, TracksSpendAndRemaining) {
   EXPECT_NEAR(ledger.epsilon_spent(), 0.9, 1e-12);
   EXPECT_NEAR(ledger.delta_spent(), 3e-5, 1e-15);
   EXPECT_NEAR(ledger.epsilon_remaining(), 0.1, 1e-12);
-  EXPECT_EQ(ledger.charges().size(), 2u);
+  EXPECT_EQ(ledger.num_charges(), 2u);
 }
 
 TEST(BudgetLedgerTest, ThrowsOnEpsilonOverspend) {
@@ -106,7 +106,7 @@ TEST(BudgetLedgerTest, ThrowsOnEpsilonOverspend) {
                gdp::common::BudgetExhaustedError);
   // A failed charge must not change the ledger.
   EXPECT_NEAR(ledger.epsilon_spent(), 0.8, 1e-12);
-  EXPECT_EQ(ledger.charges().size(), 1u);
+  EXPECT_EQ(ledger.num_charges(), 1u);
 }
 
 TEST(BudgetLedgerTest, ThrowsOnDeltaOverspend) {
@@ -138,8 +138,8 @@ TEST(BudgetLedgerTest, TryChargeRecordsWhenItFits) {
   BudgetLedger ledger(1.0, 1e-4);
   EXPECT_TRUE(ledger.TryCharge(0.6, 1e-5, "first"));
   EXPECT_NEAR(ledger.epsilon_spent(), 0.6, 1e-12);
-  ASSERT_EQ(ledger.charges().size(), 1u);
-  EXPECT_EQ(ledger.charges()[0].label, "first");
+  ASSERT_EQ(ledger.num_charges(), 1u);
+  EXPECT_EQ(ledger.history()[0].label, "first");
 }
 
 TEST(BudgetLedgerTest, TryChargeDeniesWithoutMutating) {
@@ -147,7 +147,7 @@ TEST(BudgetLedgerTest, TryChargeDeniesWithoutMutating) {
   EXPECT_TRUE(ledger.TryCharge(0.6, 1e-5, "first"));
   EXPECT_FALSE(ledger.TryCharge(0.6, 1e-5, "overrun"));
   EXPECT_NEAR(ledger.epsilon_spent(), 0.6, 1e-12);
-  EXPECT_EQ(ledger.charges().size(), 1u)
+  EXPECT_EQ(ledger.num_charges(), 1u)
       << "a denied TryCharge must leave the ledger untouched";
   // Denial is exactly WouldExceed's answer; a fitting charge still lands.
   EXPECT_TRUE(ledger.WouldExceed(0.6, 0.0));

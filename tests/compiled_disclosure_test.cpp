@@ -79,8 +79,8 @@ TEST(CompiledDisclosureTest, TwoTenantsOneCompileOneScan) {
          "and one GroupDegreeSums scan total";
 
   // Each tenant has its own ledger: one phase-1 charge + its own release.
-  EXPECT_EQ(tenant_a.ledger().charges().size(), 2u);
-  EXPECT_EQ(tenant_b.ledger().charges().size(), 2u);
+  EXPECT_EQ(tenant_a.ledger().num_charges(), 2u);
+  EXPECT_EQ(tenant_b.ledger().num_charges(), 2u);
   EXPECT_EQ(tenant_a.num_releases(), 1);
   EXPECT_EQ(tenant_b.num_releases(), 1);
 }
@@ -301,9 +301,9 @@ TEST(CompiledDisclosureTest, TryReleaseDeniesWithoutThrowOrDraw) {
   Rng rng(17);
   ASSERT_TRUE(tenant.TryRelease(budget, rng).has_value());
   const Rng rng_snapshot = rng;
-  const std::size_t charges_before = tenant.ledger().charges().size();
+  const std::size_t charges_before = tenant.ledger().num_charges();
   EXPECT_FALSE(tenant.TryRelease(budget, rng).has_value());
-  EXPECT_EQ(tenant.ledger().charges().size(), charges_before)
+  EXPECT_EQ(tenant.ledger().num_charges(), charges_before)
       << "a denied TryRelease must not charge";
   Rng expected = rng_snapshot;
   EXPECT_EQ(rng(), expected()) << "a denied TryRelease must not draw";
@@ -312,6 +312,70 @@ TEST(CompiledDisclosureTest, TryReleaseDeniesWithoutThrowOrDraw) {
   bad.epsilon_g = -1.0;
   EXPECT_THROW((void)tenant.TryRelease(bad, rng),
                gdp::common::InvalidBudgetError);
+}
+
+// ---------- ranged draws: only the entitled levels, same values ----------
+
+TEST(CompiledDisclosureTest, ReleaseLevelsMatchTheFullReleaseAtEveryPool) {
+  const BipartiteGraph g = TestGraph();
+  for (const int threads : {1, 2, 8}) {
+    for (const bool consistent : {false, true}) {
+      SessionSpec spec = SmallSpec();
+      spec.exec.num_threads = threads;
+      spec.exec.noise_chunk_grain = 64;  // multi-chunk levels
+      spec.exec.enforce_consistency = consistent;
+      Rng compile_rng(7);
+      const auto compiled = CompiledDisclosure::Compile(g, spec, compile_rng);
+      Rng full_rng(19);
+      const MultiLevelRelease full = compiled->Release(spec.budget, full_rng);
+      const int levels = full.num_levels();
+      DisclosureSession tenant = DisclosureSession::Attach(compiled);
+      for (int first = 0; first < levels; ++first) {
+        Rng rng(19);
+        const auto part = tenant.TryReleaseLevels(spec.budget, first,
+                                                  levels - 1, rng, "", nullptr);
+        ASSERT_TRUE(part.has_value());
+        ASSERT_EQ(part->size(), static_cast<std::size_t>(levels - first));
+        for (const LevelRelease& lr : *part) {
+          EXPECT_EQ(lr.noisy_total, full.level(lr.level).noisy_total);
+          EXPECT_EQ(lr.noisy_group_counts,
+                    full.level(lr.level).noisy_group_counts)
+              << threads << " threads, consistent=" << consistent
+              << ", level " << lr.level;
+        }
+      }
+    }
+  }
+}
+
+TEST(CompiledDisclosureTest, TryReleaseLevelsChargesTheFullReleaseEvent) {
+  const BipartiteGraph g = TestGraph();
+  Rng compile_rng(7);
+  const auto compiled = CompiledDisclosure::Compile(g, SmallSpec(), compile_rng);
+  const BudgetSpec budget = SmallSpec().budget;
+  DisclosureSession full = DisclosureSession::Attach(compiled);
+  DisclosureSession ranged = DisclosureSession::Attach(compiled);
+  Rng full_rng(23);
+  Rng ranged_rng(23);
+  ASSERT_TRUE(full.TryRelease(budget, full_rng, "r", nullptr).has_value());
+  const auto levels =
+      ranged.TryReleaseLevels(budget, 2, 2, ranged_rng, "r", nullptr);
+  ASSERT_TRUE(levels.has_value());
+  ASSERT_EQ(levels->size(), 1u);
+  EXPECT_EQ(ranged.ledger().epsilon_spent(), full.ledger().epsilon_spent());
+  EXPECT_EQ(ranged.ledger().AccountedSpend().epsilon,
+            full.ledger().AccountedSpend().epsilon);
+  EXPECT_EQ(ranged.ledger().history().back().event.parallel_width,
+            compiled->hierarchy().num_levels());
+  // A bad range is refused before anything is spent or drawn.
+  const auto charges = ranged.ledger().num_charges();
+  const Rng snapshot = ranged_rng;
+  EXPECT_THROW((void)ranged.TryReleaseLevels(budget, 3, 2, ranged_rng, "r",
+                                             nullptr),
+               std::out_of_range);
+  EXPECT_EQ(ranged.ledger().num_charges(), charges);
+  Rng expected = snapshot;
+  EXPECT_EQ(ranged_rng(), expected());
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli/commands.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -288,7 +290,7 @@ TEST(CrashRecoveryTest, PermanentWalFailureFailsClosedButAuditStillReads) {
   // Read-only audit still works: the attach (phase-1) went through before
   // the failing charge, and the denied releases never hit the ledger.
   const auto ledger = service->Ledger("low", "dblp");
-  EXPECT_EQ(ledger.charges().size(), 1u);
+  EXPECT_EQ(ledger.num_charges(), 1u);
   const DurabilityStats stats = service->durability_stats();
   EXPECT_GE(stats.wal_failures, 1u);
   EXPECT_GE(stats.fail_closed_rejections, 2u);
@@ -382,6 +384,78 @@ TEST(CrashRecoveryTest, ConcurrentDurableServesKeepTheLogGapFree) {
   EXPECT_EQ(replay.records.size(), 17u);
   EXPECT_FALSE(replay.sequence_gap);
   EXPECT_FALSE(replay.torn_tail());
+  std::remove(wal_path.c_str());
+}
+
+// The ledger merges repeated charges in memory while the WAL keeps one
+// Charge frame per grant; replay rebuilds exactly the merged history the
+// live service held.
+TEST(CrashRecoveryTest, ReplayRebuildsTheMergedHistory) {
+  const std::string wal_path = ::testing::TempDir() + "/merged_history.wal";
+  std::remove(wal_path.c_str());
+  const gdp::core::BudgetSpec budget = SmallSpec().budget;
+  gdp::core::BudgetSpec other = budget;
+  other.epsilon_g = 0.5;
+  std::uint64_t grants = 0;
+  std::vector<gdp::dp::LedgerEntry> live_history;
+  double live_eps = 0.0;
+  {
+    auto service = DisclosureService::Open(Configure, wal_path);
+    Rng rng(41);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(service->Serve("low", "dblp", budget, rng).granted);
+      ++grants;
+    }
+    for (gdp::graph::NodeIndex v = 0; v < 3; ++v) {
+      // Different nodes, one label: the drilled node is not in the label.
+      ASSERT_TRUE(service
+                      ->ServeDrilldown("low", "dblp", budget,
+                                       gdp::graph::Side::kLeft, v, rng)
+                      .serve.granted);
+      ++grants;
+    }
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(service->Serve("low", "dblp", other, rng).granted);
+      ++grants;
+    }
+    const gdp::dp::BudgetLedger ledger = service->Ledger("low", "dblp");
+    live_history = ledger.history();
+    live_eps = ledger.epsilon_spent();
+    // phase 1, serve x6, drilldown x3, serve at the other budget x2.
+    ASSERT_EQ(live_history.size(), 4u);
+    EXPECT_EQ(live_history[1].count, 6u);
+    EXPECT_EQ(live_history[2].count, 3u);
+    EXPECT_EQ(live_history[3].count, 2u);
+    EXPECT_EQ(ledger.num_charges(), grants + 1);
+  }
+  // One Charge frame per grant on disk.
+  {
+    AuditWal wal(std::make_unique<FileStorage>(wal_path));
+    std::uint64_t charge_frames = 0;
+    for (const WalRecord& record : wal.recovered().records) {
+      charge_frames += record.kind == WalRecordKind::kCharge ? 1 : 0;
+    }
+    EXPECT_EQ(charge_frames, grants);
+  }
+  // The offline verifier sees the same frames: one open + one per grant.
+  std::ostringstream audit;
+  ASSERT_EQ(gdp::cli::Dispatch({"audit", "--verify", wal_path}, audit), 0)
+      << audit.str();
+  EXPECT_NE(audit.str().find("audit OK"), std::string::npos) << audit.str();
+  EXPECT_NE(audit.str().find(std::to_string(grants + 1) + " records"),
+            std::string::npos)
+      << audit.str();
+  auto recovered = DisclosureService::Open(Configure, wal_path);
+  const gdp::dp::BudgetLedger ledger = recovered->Ledger("low", "dblp");
+  ASSERT_EQ(ledger.history().size(), live_history.size());
+  for (std::size_t i = 0; i < live_history.size(); ++i) {
+    EXPECT_EQ(ledger.history()[i].label, live_history[i].label) << i;
+    EXPECT_EQ(ledger.history()[i].count, live_history[i].count) << i;
+    EXPECT_EQ(ledger.history()[i].event.epsilon,
+              live_history[i].event.epsilon)
+        << i;
+  }
+  EXPECT_EQ(ledger.epsilon_spent(), live_eps);
   std::remove(wal_path.c_str());
 }
 

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -296,6 +298,83 @@ TEST(NetWireTest, OverloadedAndErrorRoundTrip) {
 }
 
 // ---------- hostile decode ----------
+
+// ---------- golden bytes: the GDPNET01 layout does not move ----------
+
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    out.push_back(kDigits[static_cast<unsigned char>(c) & 0xF]);
+  }
+  return out;
+}
+
+// Frames recorded from the byte-at-a-time encoder this layout was defined
+// with; the bulk encoder must reproduce them exactly.
+TEST(NetGoldenTest, ServeAndDrilldownFramesMatchRecordedBytes) {
+  ServeOutcome o;
+  o.granted = true;
+  o.privilege = 3;
+  o.level = 2;
+  o.epsilon_spent = 1.25;
+  o.epsilon_remaining = 8.75;
+  o.accounting = 2;
+  o.accounted_epsilon = 0.5;
+  o.accounted_delta = 0.125;
+  o.view.level = 2;
+  o.view.sensitivity = 17.0;
+  o.view.noise_stddev = 3.5;
+  o.view.group_noise_stddev = 4.75;
+  o.view.true_total = 1200.0;
+  o.view.noisy_total = 1201.5;
+  o.view.true_group_counts = {10.0, 20.0};
+  o.view.noisy_group_counts = {9.5, -0.25};
+  const std::string serve_golden = FromHex(
+      "83000000ba5d78411001000000000300000002000000000000000000f43f0000"
+      "00000080214002000000000000e03f000000000000c03f020000000000000000"
+      "0031400000000000000c4000000000000013400000000000c092400000000000"
+      "c692400200000000000000000024400000000000003440020000000000000000"
+      "002340000000000000d0bf");
+  EXPECT_EQ(Hex(Frame(Encode(o))), Hex(serve_golden));
+  // Header + payload sent as two buffers equals the one-string frame.
+  const std::string payload = Encode(o);
+  const auto header = FrameHeader(payload);
+  EXPECT_EQ(std::string(header.data(), header.size()) + payload, serve_golden);
+
+  DrilldownResponse d;
+  d.outcome.denial_reason = "no";
+  d.chain = {{3, 1, 5, 9.5, 10.0}};
+  const std::string drill_golden = FromHex(
+      "85000000025cd1a71200020000006e6f00000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000001000000030000000100000005000000000000"
+      "00000023400000000000002440");
+  EXPECT_EQ(Hex(Frame(Encode(d))), Hex(drill_golden));
+}
+
+TEST(NetGoldenTest, FromResultMovesTheViewWithoutChangingBytes) {
+  gdp::serve::ServeResult result;
+  result.granted = true;
+  result.level = 1;
+  result.view.level = 1;
+  result.view.noisy_group_counts = {1.5, 2.5, 3.5};
+  result.view.true_group_counts = {1.0, 2.0, 3.0};
+  const std::string copied = Encode(ServeOutcome::FromResult(result));
+  const ServeOutcome moved = ServeOutcome::FromResult(std::move(result));
+  EXPECT_EQ(Encode(moved), copied);
+}
 
 TEST(NetHostileTest, EmptyPayloadAndUnknownKindThrow) {
   EXPECT_THROW((void)PeekKind(""), NetProtocolError);

@@ -1,6 +1,6 @@
 // Parity and determinism guarantees of the plan-based release engine:
 //  - plan-based ReleaseAll is BIT-identical to the legacy per-level path,
-//  - ParallelReleaseAll output is invariant across thread counts,
+//  - output is invariant across pool sizes, no pool included,
 //  - the mechanism cache never perturbs results.
 #include <gtest/gtest.h>
 
@@ -161,11 +161,11 @@ TEST(ParallelReleaseTest, SharedPlanAndPoolReuse) {
   Rng r2(83);
   // Same pool twice, same seed: identical output; and identical to the
   // convenience overload that builds its own plan/pool.
-  ExpectBitIdentical(engine.ParallelReleaseAll(plan, r1, pool),
-                     engine.ParallelReleaseAll(plan, r2, pool));
+  ExpectBitIdentical(engine.ReleaseAll(plan, r1, &pool),
+                     engine.ReleaseAll(plan, r2, &pool));
   Rng r3(83);
   Rng r4(83);
-  ExpectBitIdentical(engine.ParallelReleaseAll(plan, r3, pool),
+  ExpectBitIdentical(engine.ReleaseAll(plan, r3, &pool),
                      engine.ParallelReleaseAll(g, h, r4, 2));
 }
 
@@ -229,12 +229,14 @@ TEST(WithinLevelParallelTest, GrainIsPartOfTheOutputContract) {
   EXPECT_TRUE(any_differs);
 }
 
-TEST(WithinLevelParallelTest, SingleChunkLevelMatchesSequentialDraw) {
-  // A level that fits in one chunk takes the plain sequential draw from the
-  // level stream, with or without a pool.
+TEST(WithinLevelParallelTest, LevelDrawIdenticalWithAndWithoutPool) {
+  // Chunk substreams are forked whether or not a pool is present, so a
+  // multi-chunk level draws the same values either way.
   const BipartiteGraph g = TestGraph();
   const GroupHierarchy h = TestHierarchy(g);
-  const GroupDpEngine engine{ReleaseConfig{}};  // default grain 8192 >> 128
+  ReleaseConfig cfg;
+  cfg.noise_chunk_grain = 16;  // 128 singleton groups -> 8 chunks
+  const GroupDpEngine engine(cfg);
   const ReleasePlan plan = ReleasePlan::Build(g, h);
   gdp::common::ThreadPool pool(4);
   Rng with_pool(107);
@@ -245,6 +247,7 @@ TEST(WithinLevelParallelTest, SingleChunkLevelMatchesSequentialDraw) {
       engine.ReleaseLevelFromPlan(plan, 0, 0.999, without_pool);
   EXPECT_EQ(a.noisy_total, b.noisy_total);
   EXPECT_EQ(a.noisy_group_counts, b.noisy_group_counts);
+  EXPECT_EQ(with_pool(), without_pool());
 }
 
 TEST(MechanismCacheTest, MemoizesByCalibrationKey) {

@@ -34,7 +34,7 @@ TEST(PipelineTest, ProducesHierarchyReleaseAndLedger) {
   const DisclosureResult result = RunDisclosure(g, SmallConfig(), rng);
   EXPECT_EQ(result.hierarchy.depth(), 5);
   EXPECT_EQ(result.release.num_levels(), 6);
-  EXPECT_EQ(result.ledger.charges().size(), 2u);
+  EXPECT_EQ(result.ledger.num_charges(), 2u);
 }
 
 TEST(PipelineTest, BudgetSplitRespectsPhase1Fraction) {
@@ -44,8 +44,8 @@ TEST(PipelineTest, BudgetSplitRespectsPhase1Fraction) {
   cfg.phase1_fraction = 0.25;
   Rng rng(7);
   const DisclosureResult result = RunDisclosure(g, cfg, rng);
-  EXPECT_NEAR(result.ledger.charges()[0].epsilon, 0.25, 1e-9);
-  EXPECT_NEAR(result.ledger.charges()[1].epsilon, 0.75, 1e-9);
+  EXPECT_NEAR(result.ledger.history()[0].event.TotalEpsilon(), 0.25, 1e-9);
+  EXPECT_NEAR(result.ledger.history()[1].event.TotalEpsilon(), 0.75, 1e-9);
   EXPECT_LE(result.ledger.epsilon_spent(), 1.0 + 1e-9);
 }
 

@@ -246,8 +246,8 @@ TEST(PolicyLedgerTest, DeniedTryChargeLeavesNonSequentialLedgerUntouched) {
   EXPECT_FALSE(ledger.TryCharge(big, "overrun"));
   EXPECT_EQ(ledger.epsilon_spent(), spent);
   EXPECT_EQ(ledger.AccountedSpend().epsilon, accounted);
-  EXPECT_EQ(ledger.charges().size(), 1u);
-  EXPECT_EQ(ledger.events().size(), ledger.charges().size());
+  EXPECT_EQ(ledger.num_charges(), 1u);
+  EXPECT_EQ(ledger.history().size(), 1u);
 }
 
 TEST(PolicyLedgerTest, ChargeThrowsBudgetExhaustedUnderRdpToo) {
@@ -256,7 +256,7 @@ TEST(PolicyLedgerTest, ChargeThrowsBudgetExhaustedUnderRdpToo) {
   big.count = 1000;
   EXPECT_THROW(ledger.Charge(big, "too much"),
                gdp::common::BudgetExhaustedError);
-  EXPECT_EQ(ledger.charges().size(), 0u);
+  EXPECT_EQ(ledger.num_charges(), 0u);
 }
 
 TEST(PolicyLedgerTest, WouldExceedAllMatchesChargingTheBatch) {
@@ -290,7 +290,7 @@ TEST(PolicyLedgerTest, CopyPreservesAccountantState) {
   EXPECT_EQ(copy.policy(), AccountingPolicy::kRdp);
   EXPECT_DOUBLE_EQ(copy.AccountedGuarantee(1e-6).epsilon,
                    ledger.AccountedGuarantee(1e-6).epsilon);
-  EXPECT_EQ(copy.charges().size(), 1u);
+  EXPECT_EQ(copy.num_charges(), 1u);
 }
 
 // ---------- the property pin ----------

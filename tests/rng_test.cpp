@@ -55,6 +55,19 @@ TEST(Pcg64Test, ReseedRestartsStream) {
   EXPECT_EQ(a(), first);
 }
 
+TEST(Pcg64Test, AdvanceEqualsThatManyDraws) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 2ULL, 7ULL, 64ULL, 1000ULL, 4097ULL}) {
+    Rng jumped(77);
+    Rng stepped(77);
+    jumped.Advance(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      (void)stepped();
+    }
+    EXPECT_EQ(jumped(), stepped()) << "n = " << n;
+    EXPECT_EQ(jumped.Fork(3)(), stepped.Fork(3)()) << "n = " << n;
+  }
+}
+
 TEST(Pcg64Test, SatisfiesUniformRandomBitGenerator) {
   static_assert(std::uniform_random_bit_generator<Pcg64>);
   EXPECT_EQ(Pcg64::min(), 0u);

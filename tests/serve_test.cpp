@@ -105,14 +105,14 @@ TEST(SessionRegistryTest, FingerprintSeparatesArtifactIdentity) {
   capped.epsilon_cap = 42.0;
   EXPECT_EQ(SessionRegistry::Fingerprint(base, 7),
             SessionRegistry::Fingerprint(capped, 7));
-  // Pool SIZE never changes the bits; pool presence does.
+  // Threads never change the bits — neither pool size nor pool presence.
   gdp::core::SessionSpec two = base;
   two.exec.num_threads = 2;
   gdp::core::SessionSpec eight = base;
   eight.exec.num_threads = 8;
   EXPECT_EQ(SessionRegistry::Fingerprint(two, 7),
             SessionRegistry::Fingerprint(eight, 7));
-  EXPECT_NE(SessionRegistry::Fingerprint(base, 7),
+  EXPECT_EQ(SessionRegistry::Fingerprint(base, 7),
             SessionRegistry::Fingerprint(two, 7));
 }
 
@@ -228,8 +228,9 @@ TEST_F(ServiceTest, TwoTenantsOneScanTotal) {
 
 TEST_F(ServiceTest, ServeViaRegistryBitIdenticalToFreshSession) {
   // The end-to-end determinism pin: tenant T served through catalog +
-  // registry + broker + policy equals a hand-built fresh session at the
-  // same seeds.
+  // registry + broker + policy equals the entitled level of a hand-built
+  // fresh session's full release at the same seeds — the service draws
+  // that level alone, from the one child it forks off the caller's stream.
   Rng rng(33);
   const ServeResult via_service = service_.Serve("high", "dblp", budget_, rng);
   ASSERT_TRUE(via_service.granted);
@@ -238,7 +239,7 @@ TEST_F(ServiceTest, ServeViaRegistryBitIdenticalToFreshSession) {
   Rng open_rng(7);                       // the dataset's compile seed
   gdp::core::DisclosureSession fresh =
       gdp::core::DisclosureSession::Open(g, SmallSpec(), open_rng);
-  Rng fresh_rng(33);
+  Rng fresh_rng = Rng(33).Fork(0);
   const gdp::core::MultiLevelRelease release = fresh.Release(budget_, fresh_rng);
   const gdp::core::AccessPolicy policy =
       gdp::core::AccessPolicy::Uniform(fresh.hierarchy().num_levels());
@@ -265,23 +266,34 @@ TEST_F(ServiceTest, TenantIsolationExhaustionNeverLeaks) {
   const ServeResult low = service_.Serve("low", "dblp", budget_, rng);
   ASSERT_TRUE(low.granted);
   const auto low_ledger = service_.Ledger("low", "dblp");
-  EXPECT_EQ(low_ledger.charges().size(), 2u);  // phase1 + one release
+  EXPECT_EQ(low_ledger.num_charges(), 2u);  // phase1 + one release
   const auto small_ledger = service_.Ledger("small", "dblp");
-  EXPECT_EQ(small_ledger.charges().size(), 2u)
+  EXPECT_EQ(small_ledger.num_charges(), 2u)
       << "the denied request must not appear on small's ledger";
 }
 
-TEST_F(ServiceTest, DenialLeavesRngUntouched) {
+// Every serving call takes exactly one value off the caller's stream (the
+// fork its own draws come from), granted or denied: later requests' noise
+// never depends on whether an earlier one was admitted.
+Rng AdvancedByOne(Rng rng) {
+  (void)rng();
+  return rng;
+}
+
+TEST_F(ServiceTest, DenialTakesTheSameOneValueAsAGrant) {
   service_.broker().Register(
       "micro", TenantProfile{budget_.phase1_epsilon() +
                                  budget_.phase2_epsilon() + 1e-9,
                              0.4, 0});
   Rng rng(5);
+  Rng expected = AdvancedByOne(rng);
   ASSERT_TRUE(service_.Serve("micro", "dblp", budget_, rng).granted);
-  const Rng snapshot = rng;
-  EXPECT_FALSE(service_.Serve("micro", "dblp", budget_, rng).granted);
-  Rng expected = snapshot;
   EXPECT_EQ(rng(), expected());
+  expected = AdvancedByOne(rng);
+  EXPECT_FALSE(service_.Serve("micro", "dblp", budget_, rng).granted);
+  EXPECT_EQ(rng(), expected());
+  EXPECT_EQ(service_.Ledger("micro", "dblp").num_charges(), 2u)
+      << "the denied request must not be charged";
 }
 
 TEST_F(ServiceTest, UnknownNamesThrowNotFound) {
@@ -306,15 +318,15 @@ TEST_F(ServiceTest, TierBeyondPolicyThrowsAccessPolicyError) {
 TEST_F(ServiceTest, AccessLevelBeyondHierarchyCostsNothing) {
   // An explicit mapping pointing past the compiled hierarchy is a
   // configuration error caught BEFORE any charge or draw: no session is
-  // attached, no budget spent, rng untouched.
+  // attached, no budget spent, and rng gives up only the one value every
+  // serving call takes.
   Dataset ds = SmallDataset(8, 13);
   ds.access_levels = {12};  // depth-5 hierarchy has levels 0..5
   service_.catalog().Register("badmap", std::move(ds));
   Rng rng(5);
-  const Rng snapshot = rng;
+  Rng expected = AdvancedByOne(rng);
   EXPECT_THROW((void)service_.Serve("low", "badmap", budget_, rng),
                gdp::common::AccessPolicyError);
-  Rng expected = snapshot;
   EXPECT_EQ(rng(), expected());
   EXPECT_THROW((void)service_.Ledger("low", "badmap"),
                gdp::common::NotFoundError)
@@ -350,7 +362,7 @@ TEST_F(ServiceTest, GrantBelowPhase1IsDeniedNotThrown) {
                              TenantProfile{budget_.phase1_epsilon() / 4.0,
                                            0.4, 0});
   Rng rng(5);
-  const Rng snapshot = rng;
+  Rng expected = AdvancedByOne(rng);
   const ServeResult denied = service_.Serve("dust", "dblp", budget_, rng);
   EXPECT_FALSE(denied.granted);
   EXPECT_FALSE(denied.denial_reason.empty());
@@ -358,7 +370,6 @@ TEST_F(ServiceTest, GrantBelowPhase1IsDeniedNotThrown) {
   // the all-zeros of an exhausted tenant.
   EXPECT_DOUBLE_EQ(denied.epsilon_spent, 0.0);
   EXPECT_DOUBLE_EQ(denied.epsilon_remaining, budget_.phase1_epsilon() / 4.0);
-  Rng expected = snapshot;
   EXPECT_EQ(rng(), expected());
   // Nothing was cached for the tenant: no ledger exists.
   EXPECT_THROW((void)service_.Ledger("dust", "dblp"),
@@ -418,7 +429,7 @@ TEST_F(ServiceTest, ConcurrentTenantsServeFromOneArtifact) {
     EXPECT_EQ(served[static_cast<std::size_t>(t)], 3);
     const auto ledger = service_.Ledger("t" + std::to_string(t), "dblp");
     // phase1 + 3 releases (+1 for t0's warm-up).
-    EXPECT_EQ(ledger.charges().size(), t == 0 ? 5u : 4u);
+    EXPECT_EQ(ledger.num_charges(), t == 0 ? 5u : 4u);
   }
   EXPECT_EQ(service_.registry().stats().misses, 1u);
 }

@@ -49,16 +49,16 @@ TEST(SessionAccountingTest, ReleaseChargesAGaussianEventWithMultiplier) {
   DisclosureSession session =
       DisclosureSession::Open(graph, SpecWithPolicy(AccountingPolicy::kRdp), rng);
   (void)session.Release(rng);
-  const auto& events = session.ledger().events();
-  ASSERT_EQ(events.size(), 2u);  // phase-1 + one release
-  EXPECT_EQ(events[0].kind, MechanismEvent::Kind::kPureEps);
-  EXPECT_EQ(events[1].kind, MechanismEvent::Kind::kGaussian);
-  EXPECT_GT(events[1].noise_multiplier, 0.0);
+  const auto& history = session.ledger().history();
+  ASSERT_EQ(history.size(), 2u);  // phase-1 + one release
+  EXPECT_EQ(history[0].event.kind, MechanismEvent::Kind::kPureEps);
+  EXPECT_EQ(history[1].event.kind, MechanismEvent::Kind::kGaussian);
+  EXPECT_GT(history[1].event.noise_multiplier, 0.0);
   // The charge spans every hierarchy level (the parallel-block width).
-  EXPECT_EQ(events[1].parallel_width, session.hierarchy().num_levels());
+  EXPECT_EQ(history[1].event.parallel_width, session.hierarchy().num_levels());
   // The claimed (ε, δ) is exactly what the sequential ledger recorded.
-  EXPECT_EQ(events[1].epsilon, session.spec().budget.phase2_epsilon());
-  EXPECT_EQ(events[1].delta, session.spec().budget.delta);
+  EXPECT_EQ(history[1].event.epsilon, session.spec().budget.phase2_epsilon());
+  EXPECT_EQ(history[1].event.delta, session.spec().budget.delta);
 }
 
 // THE acceptance pin: >= 8 Gaussian level-releases under kRdp report a
@@ -177,12 +177,12 @@ TEST(SessionAccountingTest, AnswerThreadsWorkloadSizedEvent) {
   workload.Add(std::make_unique<gdp::query::GroupCountQuery>(
       session.hierarchy().level(1)));
   (void)session.Answer(workload, 1, spec.budget, rng);
-  const auto& events = session.ledger().events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].count, 2);
-  EXPECT_EQ(events[1].kind, MechanismEvent::Kind::kGaussian);
+  const auto& history = session.ledger().history();
+  ASSERT_EQ(history.size(), 2u);
+  EXPECT_EQ(history[1].event.count, 2);
+  EXPECT_EQ(history[1].event.kind, MechanismEvent::Kind::kGaussian);
   // Naive books match the historical k·(ε, δ) charge.
-  EXPECT_EQ(session.ledger().charges()[1].epsilon,
+  EXPECT_EQ(session.ledger().history()[1].event.TotalEpsilon(),
             2.0 * spec.budget.phase2_epsilon());
 }
 
@@ -235,8 +235,8 @@ TEST(SessionAccountingTest, StrictLevelChargingMultipliesTheWidthBackIn) {
 
   // The ledger sees the difference: count and parallel_width trade places...
   const int width = loose.hierarchy().num_levels();
-  const MechanismEvent& loose_event = loose.ledger().events().back();
-  const MechanismEvent& strict_event = strict.ledger().events().back();
+  const MechanismEvent& loose_event = loose.ledger().history().back().event;
+  const MechanismEvent& strict_event = strict.ledger().history().back().event;
   EXPECT_EQ(loose_event.count, 1);
   EXPECT_EQ(loose_event.parallel_width, width);
   EXPECT_EQ(strict_event.count, width);

@@ -99,7 +99,7 @@ MultiLevelRelease ManualOneShot(const BipartiteGraph& graph,
     }
     gdp::common::ThreadPool pool(config.num_threads);
     const ReleasePlan plan = ReleasePlan::Build(graph, built.hierarchy, pool);
-    return engine.ParallelReleaseAll(plan, rng, pool);
+    return engine.ReleaseAll(plan, rng, &pool);
   }();
   if (config.enforce_consistency) {
     release = EnforceHierarchicalConsistency(built.hierarchy, release);
@@ -212,7 +212,7 @@ TEST(SessionTest, SweepReleasesBitIdenticalToOneShots) {
     ExpectBitIdentical(rel, fresh.release, "sweep point " + std::to_string(i));
   }
   // Phase 1 once + four phase-2 charges.
-  EXPECT_EQ(session.ledger().charges().size(), 5u);
+  EXPECT_EQ(session.ledger().num_charges(), 5u);
 }
 
 // ---------- the single-scan guarantee ----------
@@ -260,7 +260,7 @@ TEST(SessionTest, ReleaseRejectsUncalibratableBudgetUpFront) {
   Rng rng(7);
   DisclosureSession session =
       DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
-  const std::size_t charges_before = session.ledger().charges().size();
+  const std::size_t charges_before = session.ledger().num_charges();
   const Rng rng_snapshot = rng;
 
   BudgetSpec bad = cfg.ToBudgetSpec();
@@ -283,7 +283,7 @@ TEST(SessionTest, ReleaseRejectsUncalibratableBudgetUpFront) {
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
 
   // Rejected before any draw or charge: ledger untouched, rng untouched.
-  EXPECT_EQ(session.ledger().charges().size(), charges_before);
+  EXPECT_EQ(session.ledger().num_charges(), charges_before);
   Rng control = rng_snapshot;
   const MultiLevelRelease after_failures =
       session.Release(cfg.ToBudgetSpec(), rng);
@@ -305,11 +305,11 @@ TEST(SessionTest, SweepRejectsWholeBatchOnOneBadPoint) {
       DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
   std::vector<BudgetSpec> budgets(3, cfg.ToBudgetSpec());
   budgets[2].delta = -1.0;  // the LAST point is bad
-  const std::size_t charges_before = session.ledger().charges().size();
+  const std::size_t charges_before = session.ledger().num_charges();
   EXPECT_THROW((void)session.Sweep(budgets, rng),
                gdp::common::InvalidBudgetError);
   // Nothing was drawn or charged for the two good points either.
-  EXPECT_EQ(session.ledger().charges().size(), charges_before);
+  EXPECT_EQ(session.ledger().num_charges(), charges_before);
 }
 
 TEST(SessionTest, InvalidBudgetErrorIsAnInvalidArgument) {
@@ -328,13 +328,13 @@ TEST(SessionTest, LedgerAccumulatesPerReleaseWithLabels) {
   Rng rng(7);
   DisclosureSession session =
       DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
-  ASSERT_EQ(session.ledger().charges().size(), 1u);  // phase 1
-  EXPECT_NE(session.ledger().charges()[0].label.find("phase1"),
+  ASSERT_EQ(session.ledger().num_charges(), 1u);  // phase 1
+  EXPECT_NE(session.ledger().history()[0].label.find("phase1"),
             std::string::npos);
   (void)session.Release(cfg.ToBudgetSpec(), rng);
   (void)session.Release(cfg.ToBudgetSpec(), rng, "custom audit label");
-  ASSERT_EQ(session.ledger().charges().size(), 3u);
-  EXPECT_EQ(session.ledger().charges()[2].label, "custom audit label");
+  ASSERT_EQ(session.ledger().num_charges(), 3u);
+  EXPECT_EQ(session.ledger().history()[2].label, "custom audit label");
   EXPECT_EQ(session.num_releases(), 2);
   const double expected =
       session.phase1_epsilon_spent() + 2.0 * cfg.ToBudgetSpec().phase2_epsilon();
@@ -370,11 +370,11 @@ TEST(SessionTest, SweepBeyondGrantRejectsWholeBatchAtomically) {
   Rng rng(7);
   DisclosureSession session = DisclosureSession::Open(g, spec, rng);
   const std::vector<BudgetSpec> budgets(3, cfg.ToBudgetSpec());
-  const std::size_t charges_before = session.ledger().charges().size();
+  const std::size_t charges_before = session.ledger().num_charges();
   const Rng rng_snapshot = rng;
   EXPECT_THROW((void)session.Sweep(budgets, rng),
                gdp::common::BudgetExhaustedError);
-  EXPECT_EQ(session.ledger().charges().size(), charges_before);
+  EXPECT_EQ(session.ledger().num_charges(), charges_before);
   Rng expected = rng_snapshot;
   EXPECT_EQ(rng(), expected());
   // The two-point sweep the grant covers still goes through.
@@ -392,7 +392,7 @@ TEST(SessionTest, AnswerLabelsAreUniquePerCall) {
   workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
   (void)session.Answer(workload, 2, cfg.ToBudgetSpec(), rng);
   (void)session.Answer(workload, 2, cfg.ToBudgetSpec(), rng);
-  const auto& charges = session.ledger().charges();
+  const auto& charges = session.ledger().history();
   ASSERT_EQ(charges.size(), 3u);
   EXPECT_NE(charges[1].label.find("answer[0]"), std::string::npos);
   EXPECT_NE(charges[2].label.find("answer[1]"), std::string::npos);
@@ -406,7 +406,7 @@ TEST(SessionTest, SweepLabelsAreSweepTagged) {
       DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
   std::vector<BudgetSpec> budgets(2, cfg.ToBudgetSpec());
   (void)session.Sweep(budgets, rng);
-  const auto& charges = session.ledger().charges();
+  const auto& charges = session.ledger().history();
   ASSERT_EQ(charges.size(), 3u);
   EXPECT_NE(charges[1].label.find("sweep[0]"), std::string::npos);
   EXPECT_NE(charges[2].label.find("sweep[1]"), std::string::npos);
@@ -449,16 +449,16 @@ TEST(SessionTest, AnswerMatchesWorkloadRunAndChargesLedger) {
   const auto direct =
       workload.Run(g, session.hierarchy().level(2), budget.noise,
                    budget.phase2_epsilon(), budget.delta, r_direct);
-  const std::size_t charges_before = session.ledger().charges().size();
+  const std::size_t charges_before = session.ledger().num_charges();
   const auto via_session = session.Answer(workload, 2, budget, rng);
   ASSERT_EQ(via_session.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(via_session[i].noisy, direct[i].noisy) << "query " << i;
   }
-  ASSERT_EQ(session.ledger().charges().size(), charges_before + 1);
-  const auto& charge = session.ledger().charges().back();
-  EXPECT_DOUBLE_EQ(charge.epsilon, 2.0 * budget.phase2_epsilon());
-  EXPECT_DOUBLE_EQ(charge.delta, 2.0 * budget.delta);
+  ASSERT_EQ(session.ledger().num_charges(), charges_before + 1);
+  const auto& charge = session.ledger().history().back();
+  EXPECT_DOUBLE_EQ(charge.event.TotalEpsilon(), 2.0 * budget.phase2_epsilon());
+  EXPECT_DOUBLE_EQ(charge.event.TotalDelta(), 2.0 * budget.delta);
 }
 
 TEST(SessionTest, AnswerRejectsBadLevelWithoutChargingLedger) {
@@ -469,12 +469,12 @@ TEST(SessionTest, AnswerRejectsBadLevelWithoutChargingLedger) {
       DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
   gdp::query::Workload workload;
   workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
-  const std::size_t charges_before = session.ledger().charges().size();
+  const std::size_t charges_before = session.ledger().num_charges();
   EXPECT_THROW((void)session.Answer(workload, 99, cfg.ToBudgetSpec(), rng),
                std::out_of_range);
   EXPECT_THROW((void)session.Answer(workload, -1, cfg.ToBudgetSpec(), rng),
                std::out_of_range);
-  EXPECT_EQ(session.ledger().charges().size(), charges_before)
+  EXPECT_EQ(session.ledger().num_charges(), charges_before)
       << "a rejected Answer must not leave phantom spend on the ledger";
 }
 
