@@ -37,7 +37,10 @@ int main() {
     cfg.include_group_counts = false;
     cfg.validate_hierarchy = false;
     common::Rng rng(static_cast<std::uint64_t>(p1 * 1e6) + 5);
-    const core::DisclosureResult built = core::RunDisclosure(g, cfg, rng);
+    core::DisclosureSession session =
+        core::DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+    // The full disclosure: the trials below draw from the rng state after it.
+    (void)session.Release(session.spec().budget, rng);
 
     core::ReleaseConfig rel;
     rel.epsilon_g = kEps * (1.0 - p1);
@@ -47,12 +50,14 @@ int main() {
       double total = 0.0;
       for (int t = 0; t < kTrials; ++t) {
         total +=
-            engine.ReleaseLevel(g, built.hierarchy.level(lvl), lvl, rng).TotalRer();
+            engine.ReleaseLevelFromPlan(session.plan(), lvl, rel.epsilon_g, rng)
+                .TotalRer();
       }
       return total / kTrials;
     };
     table.AddRow({common::FormatDouble(p1, 2),
-                  std::to_string(built.hierarchy.level(1).MaxGroupDegreeSum(g)),
+                  std::to_string(
+                      session.hierarchy().level(1).MaxGroupDegreeSum(g)),
                   common::FormatPercent(mean_rer(4), 3),
                   common::FormatPercent(mean_rer(6), 3),
                   common::FormatPercent(mean_rer(7), 3)});

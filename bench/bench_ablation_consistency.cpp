@@ -44,9 +44,10 @@ int main() {
   std::vector<double> raw_mae(static_cast<std::size_t>(levels), 0.0);
   std::vector<double> adj_mae(static_cast<std::size_t>(levels), 0.0);
 
+  const core::ReleasePlan plan = core::ReleasePlan::Build(g, built.hierarchy);
   common::Rng rng(23);
   for (int t = 0; t < kTrials; ++t) {
-    const auto raw = engine.ReleaseAll(g, built.hierarchy, rng);
+    const auto raw = engine.ReleaseAll(plan, rng);
     const auto adj = core::EnforceHierarchicalConsistency(built.hierarchy, raw);
     for (int lvl = 0; lvl < levels; ++lvl) {
       raw_rer[static_cast<std::size_t>(lvl)] += raw.level(lvl).TotalRer();

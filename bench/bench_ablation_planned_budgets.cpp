@@ -56,6 +56,9 @@ int main() {
   rel.epsilon_g = kBudget;
   rel.include_group_counts = false;
   const core::GroupDpEngine engine(rel);
+  const core::ReleasePlan release_plan =
+      core::ReleasePlan::Build(g, built.hierarchy);
+  const int last_level = release_plan.num_levels() - 1;
 
   common::TextTable table({"level", "per_level_RER(paper)", "planned_eps",
                            "simultaneous_RER", "penalty_x"});
@@ -64,14 +67,14 @@ int main() {
     double rer_paper = 0.0;
     double rer_planned = 0.0;
     for (int t = 0; t < kTrials; ++t) {
-      rer_paper += engine
-                       .ReleaseLevel(g, built.hierarchy.level(lvl), lvl, rng)
-                       .TotalRer();
+      rer_paper +=
+          engine.ReleaseLevelFromPlan(release_plan, lvl, kBudget, rng)
+              .TotalRer();
     }
     for (int t = 0; t < kTrials; ++t) {
-      const auto planned =
-          engine.ReleaseAllWithBudgets(g, built.hierarchy, budgets, rng);
-      rer_planned += planned.level(lvl).TotalRer();
+      const auto planned = engine.ReleaseLevels(release_plan, 0, last_level,
+                                                rng, nullptr, budgets);
+      rer_planned += planned[static_cast<std::size_t>(lvl)].TotalRer();
     }
     rer_paper /= kTrials;
     rer_planned /= kTrials;

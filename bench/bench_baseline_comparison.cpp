@@ -35,11 +35,14 @@ int main() {
   cfg.include_group_counts = false;
   cfg.validate_hierarchy = false;
   common::Rng rng(31);
-  const core::DisclosureResult built = core::RunDisclosure(g, cfg, rng);
+  core::DisclosureSession session =
+      core::DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+  // The full disclosure: the trials below draw from the rng state after it.
+  (void)session.Release(session.spec().budget, rng);
 
   const int kTargetLevel = 6;
   const double group_weight = static_cast<double>(
-      built.hierarchy.level(kTargetLevel).MaxGroupDegreeSum(g));
+      session.hierarchy().level(kTargetLevel).MaxGroupDegreeSum(g));
   std::cout << "# target group weight (level " << kTargetLevel
             << " max): " << group_weight << " of " << g.num_edges()
             << " associations\n";
@@ -98,8 +101,8 @@ int main() {
     double rer = 0.0;
     double sigma = 0.0;
     for (int t = 0; t < kTrials; ++t) {
-      const auto lr = engine.ReleaseLevel(
-          g, built.hierarchy.level(kTargetLevel), kTargetLevel, rng);
+      const auto lr = engine.ReleaseLevelFromPlan(session.plan(), kTargetLevel,
+                                                  rel.epsilon_g, rng);
       rer += lr.TotalRer();
       sigma = lr.noise_stddev;
     }

@@ -58,7 +58,10 @@ int main() {
     cfg.include_group_counts = false;
     cfg.validate_hierarchy = false;  // O(V*depth) check skipped at bench scale
     common::Rng rng(1000 + static_cast<std::uint64_t>(eps * 1e4));
-    const core::DisclosureResult built = core::RunDisclosure(g, cfg, rng);
+    core::DisclosureSession session =
+        core::DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+    // The full disclosure: the trials below draw from the rng state after it.
+    (void)session.Release(session.spec().budget, rng);
 
     // Average RER per level over repeated Phase-2 noise draws.
     core::ReleaseConfig rel;
@@ -70,7 +73,8 @@ int main() {
       double total_rer = 0.0;
       for (int t = 0; t < kTrials; ++t) {
         total_rer += engine
-                         .ReleaseLevel(g, built.hierarchy.level(lvl), lvl, rng)
+                         .ReleaseLevelFromPlan(session.plan(), lvl,
+                                               rel.epsilon_g, rng)
                          .TotalRer();
       }
       row.push_back(common::FormatPercent(total_rer / kTrials, 3));

@@ -97,30 +97,8 @@ void BM_LevelSensitivities(benchmark::State& state) {
 BENCHMARK(BM_LevelSensitivities)->Arg(10'000)->Arg(100'000)->Arg(640'000)
     ->Unit(benchmark::kMillisecond);
 
-// The legacy-vs-planned pair: identical output (parallel_release_test pins
-// bit-parity), different scan counts.  Legacy rescans the node set up to
-// three times per level; planned performs one scan + a parent-pointer rollup.
-void BM_ReleaseAll_Legacy(benchmark::State& state) {
-  const auto g = MakeGraph(state.range(0));
-  hier::SpecializationConfig cfg;
-  cfg.depth = 9;
-  cfg.validate_hierarchy = false;
-  const hier::Specializer spec(cfg);
-  common::Rng rng(5);
-  const auto built = spec.BuildHierarchy(g, rng);
-  core::ReleaseConfig rel;
-  rel.epsilon_g = 0.999;
-  rel.include_group_counts = true;
-  const core::GroupDpEngine engine(rel);
-  for (auto _ : state) {
-    auto release = engine.ReleaseAllLegacy(g, built.hierarchy, rng);
-    benchmark::DoNotOptimize(release.num_levels());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ReleaseAll_Legacy)->Arg(10'000)->Arg(100'000)->Arg(640'000)
-    ->Unit(benchmark::kMillisecond);
-
+// One full release at plan scale: a ReleasePlan (one node scan + a
+// parent-pointer rollup) and the noise draw for every level.
 void BM_ReleaseAll_Planned(benchmark::State& state) {
   const auto g = MakeGraph(state.range(0));
   hier::SpecializationConfig cfg;
@@ -134,8 +112,9 @@ void BM_ReleaseAll_Planned(benchmark::State& state) {
   rel.include_group_counts = true;
   const core::GroupDpEngine engine(rel);
   for (auto _ : state) {
-    // Plan built inside the loop: the comparison with Legacy is end-to-end.
-    auto release = engine.ReleaseAll(g, built.hierarchy, rng);
+    // Plan built inside the loop: the release is timed end to end.
+    auto release =
+        engine.ReleaseAll(core::ReleasePlan::Build(g, built.hierarchy), rng);
     benchmark::DoNotOptimize(release.num_levels());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -160,9 +139,10 @@ void BM_BuildReleasePlan(benchmark::State& state) {
 BENCHMARK(BM_BuildReleasePlan)->Arg(10'000)->Arg(100'000)->Arg(640'000)
     ->Unit(benchmark::kMillisecond);
 
-// Thread sweep at the acceptance configuration (640k edges, depth 9): plan
-// and pool are prebuilt, so this isolates the noise stage's multicore
-// scaling.  Arg pair = {edges, threads}.
+// Thread sweep at the acceptance configuration (640k edges, depth 9): the
+// plan is built once, sharded across the explicit pool, outside the timed
+// loop, so this isolates the pooled noise draw's multicore scaling.  Arg
+// pair = {edges, threads}.
 void BM_ParallelReleaseAll(benchmark::State& state) {
   const auto g = MakeGraph(state.range(0));
   hier::SpecializationConfig cfg;
@@ -175,8 +155,8 @@ void BM_ParallelReleaseAll(benchmark::State& state) {
   rel.epsilon_g = 0.999;
   rel.include_group_counts = true;
   const core::GroupDpEngine engine(rel);
-  const auto plan = core::ReleasePlan::Build(g, built.hierarchy);
   common::ThreadPool pool(static_cast<int>(state.range(1)));
+  const auto plan = core::ReleasePlan::Build(g, built.hierarchy, pool);
   for (auto _ : state) {
     auto release = engine.ReleaseAll(plan, rng, &pool);
     benchmark::DoNotOptimize(release.num_levels());
@@ -318,8 +298,9 @@ void BM_RebuildPerEpsilon(benchmark::State& state) {
     common::Rng rng(++seed);
     for (const double eps : SweepEpsilons()) {
       cfg.epsilon_g = eps;
-      auto result = core::RunDisclosure(g, cfg, rng);
-      benchmark::DoNotOptimize(result.release.num_levels());
+      auto session = core::DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+      auto release = session.Release(session.spec().budget, rng);
+      benchmark::DoNotOptimize(release.num_levels());
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) *
@@ -373,12 +354,14 @@ void BM_RegistryHitVsCompile(benchmark::State& state) {
     if (hit) {
       auto compiled = warm.GetOrCompile("ds", g, spec, 7);
       auto session = core::DisclosureSession::Attach(std::move(compiled));
-      benchmark::DoNotOptimize(session.Release(rng).num_levels());
+      benchmark::DoNotOptimize(
+          session.Release(session.spec().budget, rng).num_levels());
     } else {
       serve::SessionRegistry cold(1);
       auto compiled = cold.GetOrCompile("ds", g, spec, 7);
       auto session = core::DisclosureSession::Attach(std::move(compiled));
-      benchmark::DoNotOptimize(session.Release(rng).num_levels());
+      benchmark::DoNotOptimize(
+          session.Release(session.spec().budget, rng).num_levels());
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -430,8 +413,9 @@ void BM_EndToEndDisclosure(benchmark::State& state) {
   std::uint64_t seed = 100;
   for (auto _ : state) {
     common::Rng rng(++seed);
-    auto result = core::RunDisclosure(g, cfg, rng);
-    benchmark::DoNotOptimize(result.release.num_levels());
+    auto session = core::DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+    auto release = session.Release(session.spec().budget, rng);
+    benchmark::DoNotOptimize(release.num_levels());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -37,7 +37,8 @@ int main() {
   spec.hierarchy.arity = 4;
   spec.exec.enforce_consistency = true;
   auto session = core::DisclosureSession::Open(graph, spec, rng);
-  const core::MultiLevelRelease release = session.Release(rng);
+  const core::MultiLevelRelease release =
+      session.Release(session.spec().budget, rng);
 
   // Ship artifact + hierarchy as text (what would go over the wire).
   std::stringstream release_wire;

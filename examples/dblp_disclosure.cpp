@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   spec.hierarchy.arity = 4;
   spec.exec.include_group_counts = true;
   auto session = core::DisclosureSession::Open(graph, spec, rng);
-  const core::MultiLevelRelease release = session.Release(rng);
+  const core::MultiLevelRelease release =
+      session.Release(session.spec().budget, rng);
 
   // The disclosed artifact per level: noisy total + per-group noisy counts.
   common::TextTable table({"level", "groups", "sensitivity", "noise_sigma",

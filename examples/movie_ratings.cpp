@@ -37,7 +37,8 @@ int main() {
   spec.hierarchy.depth = 7;
   spec.hierarchy.arity = 4;
   auto session = core::DisclosureSession::Open(ratings, spec, rng);
-  const core::MultiLevelRelease release = session.Release(rng);
+  const core::MultiLevelRelease release =
+      session.Release(session.spec().budget, rng);
   std::cout << "published release: " << release.num_levels() << " levels\n\n";
 
   // Standing query workload evaluated at two contract tiers.

@@ -39,7 +39,8 @@ int main() {
   spec.hierarchy.depth = 5;
   spec.hierarchy.arity = 4;
   auto session = core::DisclosureSession::Open(purchases, spec, rng);
-  const core::MultiLevelRelease release = session.Release(rng);
+  const core::MultiLevelRelease release =
+      session.Release(session.spec().budget, rng);
 
   const int kNeighbourhoodLevel = 3;
   // The plan already holds every level's group weights — no rescan.

@@ -4,9 +4,9 @@
 //   2. Open a DisclosureSession (Phase 1 + release plan, once) and release.
 //   3. Hand each privilege tier its level view and compare accuracy.
 //
-// The one-shot wrapper core::RunDisclosure(graph, config, rng) does steps
-// 2a+2b in a single call and is bit-identical; the session form shown here
-// is what you keep when you'll release more than once (see
+// Open + Release is the one release path: a one-shot disclosure is this
+// session released once.  Keep the session when you'll release more than
+// once — later releases reuse the hierarchy and plan (see
 // examples/epsilon_sweep.cpp).
 //
 // Build & run:  cmake --build build && ./build/quickstart
@@ -38,7 +38,8 @@ int main() {
   spec.hierarchy.arity = 4;
   spec.budget.epsilon_g = 0.999;
   auto session = core::DisclosureSession::Open(graph, spec, rng);
-  const core::MultiLevelRelease release = session.Release(rng);
+  const core::MultiLevelRelease release =
+      session.Release(session.spec().budget, rng);
 
   std::cout << session.ledger().AuditReport() << '\n';
 

@@ -97,6 +97,28 @@ gdp::dp::AccountingPolicy ParseAccountingFlag(const std::string& value,
                                                : value);
 }
 
+// The spec flags `disclose`, `pack` and `serve` share: --eps, --delta,
+// --depth, --arity, --threads, --noise-grain.  One parser for all three,
+// because `pack --compile` stores Fingerprint(ToSessionSpec(), seed) and
+// `serve` adopts that snapshot only when its own spec fingerprints the same
+// — a flag read differently by one command silently disables adoption.
+gdp::core::DisclosureConfig ParseSpecFlags(const Args& args) {
+  gdp::core::DisclosureConfig config;
+  config.epsilon_g = args.GetDouble("eps", config.epsilon_g);
+  config.delta = args.GetDouble("delta", config.delta);
+  config.depth = static_cast<int>(args.GetInt("depth", config.depth));
+  config.arity = static_cast<int>(args.GetInt("arity", config.arity));
+  config.num_threads =
+      static_cast<int>(args.GetInt("threads", config.num_threads));
+  const std::int64_t grain = args.GetInt(
+      "noise-grain", static_cast<std::int64_t>(config.noise_chunk_grain));
+  if (grain <= 0) {
+    throw std::invalid_argument("--noise-grain must be > 0");
+  }
+  config.noise_chunk_grain = static_cast<std::size_t>(grain);
+  return config;
+}
+
 bool IsCommentOrBlank(const std::string& line) {
   for (const char c : line) {
     if (c == '#') {
@@ -501,22 +523,10 @@ int RunDisclose(const Args& args, std::ostream& out) {
   }
   const std::string release_path = Require(args, "release");
 
-  gdp::core::DisclosureConfig config;
-  config.epsilon_g = args.GetDouble("eps", 0.999);
-  config.delta = args.GetDouble("delta", 1e-5);
-  config.depth = static_cast<int>(args.GetInt("depth", 9));
-  config.arity = static_cast<int>(args.GetInt("arity", 4));
+  gdp::core::DisclosureConfig config = ParseSpecFlags(args);
   config.enforce_consistency = args.HasSwitch("consistent");
-  config.num_threads = static_cast<int>(args.GetInt("threads", 1));
   config.accounting = ParseAccountingFlag(args.GetOr("accounting", "sequential"),
                                           config.strict_level_charging);
-  const std::int64_t grain = args.GetInt(
-      "noise-grain",
-      static_cast<std::int64_t>(gdp::core::DisclosureConfig{}.noise_chunk_grain));
-  if (grain <= 0) {
-    throw std::invalid_argument("--noise-grain must be > 0");
-  }
-  config.noise_chunk_grain = static_cast<std::size_t>(grain);
 
   // --sweep ε1,ε2,…: parse before touching the filesystem.
   std::vector<std::pair<std::string, double>> sweep;
@@ -539,7 +549,7 @@ int RunDisclose(const Args& args, std::ostream& out) {
     spec.epsilon_cap = spec.budget.phase1_epsilon();
     spec.delta_cap = config.delta * static_cast<double>(sweep.size()) * 2.0;
     for (const auto& entry : sweep) {
-      gdp::core::BudgetSpec point = config.ToBudgetSpec();
+      gdp::core::BudgetSpec point = spec.budget;
       point.epsilon_g = entry.second;
       spec.epsilon_cap += point.phase2_epsilon();
       points.push_back(point);
@@ -569,14 +579,18 @@ int RunDisclose(const Args& args, std::ostream& out) {
     return 0;
   }
 
-  const auto result = gdp::core::RunDisclosure(graph, config, rng);
-  gdp::core::WriteReleaseFile(
-      strip ? result.release.StripTruth() : result.release, release_path);
+  auto session =
+      gdp::core::DisclosureSession::Open(graph, config.ToSessionSpec(), rng);
+  const gdp::core::MultiLevelRelease release =
+      session.Release(session.spec().budget, rng,
+                      "phase2: per-level noise (max over levels)");
+  gdp::core::WriteReleaseFile(strip ? release.StripTruth() : release,
+                              release_path);
   out << "disclosed " << graph.Summary() << '\n';
-  out << result.ledger.AuditReport();
+  out << session.ledger().AuditReport();
   out << "release written to " << release_path << '\n';
   if (const auto hier_path = args.Get("hierarchy")) {
-    gdp::hier::WriteHierarchyFile(result.hierarchy, *hier_path);
+    gdp::hier::WriteHierarchyFile(session.hierarchy(), *hier_path);
     out << "hierarchy written to " << *hier_path << '\n';
   }
   return 0;
@@ -666,22 +680,11 @@ int RunServe(const Args& args, std::ostream& out) {
     throw std::invalid_argument("--registry-capacity must be > 0");
   }
 
-  gdp::core::DisclosureConfig config;
-  config.epsilon_g = args.GetDouble("eps", 0.999);
-  config.delta = args.GetDouble("delta", 1e-5);
-  config.depth = static_cast<int>(args.GetInt("depth", 9));
-  config.arity = static_cast<int>(args.GetInt("arity", 4));
-  config.num_threads = static_cast<int>(args.GetInt("threads", 1));
-  const std::int64_t grain = args.GetInt(
-      "noise-grain",
-      static_cast<std::int64_t>(gdp::core::DisclosureConfig{}.noise_chunk_grain));
-  if (grain <= 0) {
-    throw std::invalid_argument("--noise-grain must be > 0");
-  }
-  config.noise_chunk_grain = static_cast<std::size_t>(grain);
+  gdp::core::DisclosureConfig config = ParseSpecFlags(args);
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 42));
   const gdp::dp::AccountingPolicy default_accounting = ParseAccountingFlag(
       args.GetOr("accounting", "sequential"), config.strict_level_charging);
+  const gdp::core::SessionSpec spec = config.ToSessionSpec();
 
   const double dataset_eps_cap = args.GetDouble("dataset-eps-cap", 0.0);
   const double dataset_delta_cap = args.GetDouble("dataset-delta-cap", 0.0);
@@ -701,7 +704,7 @@ int RunServe(const Args& args, std::ostream& out) {
   std::optional<gdp::serve::Dataset> dataset;
   if (graph_path) {
     dataset.emplace(gdp::serve::Dataset{gdp::graph::ReadEdgeListFile(*graph_path),
-                                        config.ToSessionSpec(), seed, {}, {}});
+                                        spec, seed, {}, {}});
     out << "serving " << dataset->graph.Summary();
   } else {
     // Nothing is read here: the snapshot is mmap'd and validated by the
@@ -726,8 +729,8 @@ int RunServe(const Args& args, std::ostream& out) {
     if (dataset) {
       svc.catalog().Register(dataset_name, std::move(*dataset));
     } else {
-      svc.catalog().RegisterSnapshot(dataset_name, *snapshot_path,
-                                     config.ToSessionSpec(), seed);
+      svc.catalog().RegisterSnapshot(dataset_name, *snapshot_path, spec,
+                                     seed);
     }
     for (const auto& [id, profile] : tenants) {
       try {
@@ -788,7 +791,7 @@ int RunServe(const Args& args, std::ostream& out) {
   std::size_t granted = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const ServeRequest& req = requests[i];
-    gdp::core::BudgetSpec budget = config.ToBudgetSpec();
+    gdp::core::BudgetSpec budget = spec.budget;
     budget.epsilon_g = req.epsilon_g;
     if (req.delta > 0.0) {
       budget.delta = req.delta;
@@ -1123,22 +1126,10 @@ int RunPack(const Args& args, std::ostream& out) {
   const bool compile = args.HasSwitch("compile");
   const bool verify = args.HasSwitch("verify");
 
-  // Pack flags mirror serve's spec flags exactly: the fingerprint stored
-  // with --compile is Fingerprint(ToSessionSpec(), seed), so a serve run
-  // with the SAME flags adopts the embedded plan and skips Phase-1.
-  gdp::core::DisclosureConfig config;
-  config.epsilon_g = args.GetDouble("eps", 0.999);
-  config.delta = args.GetDouble("delta", 1e-5);
-  config.depth = static_cast<int>(args.GetInt("depth", 9));
-  config.arity = static_cast<int>(args.GetInt("arity", 4));
-  config.num_threads = static_cast<int>(args.GetInt("threads", 1));
-  const std::int64_t grain = args.GetInt(
-      "noise-grain",
-      static_cast<std::int64_t>(gdp::core::DisclosureConfig{}.noise_chunk_grain));
-  if (grain <= 0) {
-    throw std::invalid_argument("--noise-grain must be > 0");
-  }
-  config.noise_chunk_grain = static_cast<std::size_t>(grain);
+  // The fingerprint stored with --compile is Fingerprint(ToSessionSpec(),
+  // seed), so a serve run with the SAME flags adopts the embedded plan and
+  // skips Phase-1.
+  const gdp::core::DisclosureConfig config = ParseSpecFlags(args);
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 42));
 
   // Two-pass streaming read: identical graph to ReadEdgeListFile, but the

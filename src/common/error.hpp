@@ -43,8 +43,8 @@ class BudgetExhaustedError : public std::runtime_error {
 
 // Raised when a BudgetSpec cannot calibrate the requested mechanisms (bad
 // ε/δ, impossible phase split, calibration failure) — detected up front,
-// before any noise is drawn.  Derives from std::invalid_argument so callers
-// of the one-shot pipeline that predate the session API keep working.
+// before any noise is drawn.  Derives from std::invalid_argument so generic
+// invalid-argument catch sites keep working.
 class InvalidBudgetError : public std::invalid_argument {
  public:
   explicit InvalidBudgetError(const std::string& what)

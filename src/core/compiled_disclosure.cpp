@@ -38,8 +38,8 @@ namespace {
 // or a snapshot load — first).
 void ValidateSpecForCompile(const SessionSpec& spec, const char* where) {
   // Opening budget: Phase 1 must receive a usable EM budget, and the
-  // remainder must be a releasable Phase-2 budget (same constraint the
-  // one-shot pipeline enforced as phase1_fraction in (0, 1)).
+  // remainder must be a releasable Phase-2 budget: phase1_fraction in
+  // (0, 1).
   if (!(spec.budget.phase1_fraction > 0.0) ||
       !(spec.budget.phase1_fraction < 1.0)) {
     throw std::invalid_argument(std::string(where) +

@@ -152,10 +152,9 @@ class CompiledDisclosure {
   // build the ReleasePlan once (sharded across the owned pool when
   // spec.exec.num_threads != 1), and freeze the result.  `graph` must
   // outlive the artifact.  Deterministic given `rng` state — consumes
-  // exactly the draws the one-shot pipeline's Phase 1 consumed.  The
-  // spec's caps are validated here (they are the default tenant grant) even
-  // though the artifact itself holds no ledger, so a bad grant cannot cost
-  // an EM build first.
+  // exactly the draws Phase 1 needs.  The spec's caps are validated here
+  // (they are the default tenant grant) even though the artifact itself
+  // holds no ledger, so a bad grant cannot cost an EM build first.
   [[nodiscard]] static std::shared_ptr<const CompiledDisclosure> Compile(
       const gdp::graph::BipartiteGraph& graph, const SessionSpec& spec,
       gdp::common::Rng& rng);
@@ -251,7 +250,7 @@ class CompiledDisclosure {
  private:
   // DisclosureSession is the trusted handle: it uses the pre-validated draw
   // path below (it has already run ValidateBudget before charging its
-  // ledger) and TakeHierarchy's sole-owner move-out.
+  // ledger).
   friend class DisclosureSession;
 
   // Levels [first, last] of the release Release(budget, rng) would draw,

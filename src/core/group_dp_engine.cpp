@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/thread_pool.hpp"
-#include "core/group_sensitivity.hpp"
 #include "dp/discrete_gaussian.hpp"
 #include "dp/gaussian.hpp"
 #include "dp/geometric.hpp"
@@ -178,52 +177,6 @@ void GroupDpEngine::DrawLevelNoise(
   }
 }
 
-LevelRelease GroupDpEngine::ReleaseLevel(const BipartiteGraph& graph,
-                                         const Partition& level, int level_index,
-                                         gdp::common::Rng& level_rng) const {
-  LevelRelease out;
-  out.level = level_index;
-  out.true_total = static_cast<double>(graph.num_edges());
-
-  const double computed_sensitivity =
-      static_cast<double>(CountSensitivity(graph, level));
-  out.sensitivity = config_.sensitivity_override.value_or(computed_sensitivity);
-
-  if (computed_sensitivity == 0.0) {
-    // Edgeless graph: nothing to protect, release exactly.  This holds even
-    // under a sensitivity_override — a vector mechanism cannot be calibrated
-    // for Δℓ = 0 (VectorSensitivity throws), and there is no association for
-    // the override to bound, so the recorded sensitivity is the computed 0.
-    out.sensitivity = 0.0;
-    out.noisy_total = out.true_total;
-    if (config_.include_group_counts) {
-      out.true_group_counts.assign(level.num_groups(), 0.0);
-      out.noisy_group_counts.assign(level.num_groups(), 0.0);
-    }
-    return out;
-  }
-
-  const auto& scalar_mechanism = cache().Get(config_.noise, config_.epsilon_g,
-                                             config_.delta, out.sensitivity);
-  const gdp::dp::NumericMechanism* vector_mechanism = nullptr;
-  if (config_.include_group_counts) {
-    const std::vector<gdp::graph::EdgeCount> sums = level.GroupDegreeSums(graph);
-    out.true_group_counts.reserve(sums.size());
-    for (const auto s : sums) {
-      out.true_group_counts.push_back(static_cast<double>(s));
-    }
-    // Per-group vector: one group's change moves its own entry by up to Δℓ
-    // and opposite-side entries by up to Δℓ in total, so calibrate with the
-    // sqrt(2)·Δℓ L2 bound (see group_sensitivity.hpp).  Served from the
-    // same cache as the plan path — the calibration key is identical.
-    vector_mechanism =
-        &cache().Get(config_.noise, config_.epsilon_g, config_.delta,
-                     VectorSensitivity(graph, level).value());
-  }
-  DrawLevelNoise(out, scalar_mechanism, vector_mechanism, level_rng, nullptr);
-  return out;
-}
-
 LevelRelease GroupDpEngine::ReleaseLevelFromPlan(
     const ReleasePlan& plan, int level_index, double epsilon,
     gdp::common::Rng& level_rng, gdp::common::ThreadPool* pool) const {
@@ -239,9 +192,10 @@ LevelRelease GroupDpEngine::ReleaseLevelFromPlan(
       plan.GroupDegreeSums(level_index);
 
   if (computed == 0) {
-    // Edgeless graph: release exactly, even under a sensitivity_override
-    // (same contract as the per-level path — nothing to protect, and Δℓ = 0
-    // cannot calibrate the vector mechanism).
+    // Edgeless graph: nothing to protect, release exactly.  This holds even
+    // under a sensitivity_override — a vector mechanism cannot be calibrated
+    // for Δℓ = 0 (VectorSensitivity throws), and there is no association for
+    // the override to bound, so the recorded sensitivity is the computed 0.
     out.sensitivity = 0.0;
     out.noisy_total = out.true_total;
     if (config_.include_group_counts) {
@@ -256,8 +210,10 @@ LevelRelease GroupDpEngine::ReleaseLevelFromPlan(
   const gdp::dp::NumericMechanism* vector_mechanism = nullptr;
   if (config_.include_group_counts) {
     out.true_group_counts.assign(sums.begin(), sums.end());
-    // Same sqrt(2)·Δℓ bound as the per-level path; Δℓ here is the computed
-    // (not overridden) scalar, matching the legacy calibration exactly.
+    // Per-group vector: one group's change moves its own entry by up to Δℓ
+    // and opposite-side entries by up to Δℓ in total, so calibrate with the
+    // sqrt(2)·Δℓ L2 bound (see group_sensitivity.hpp).  Δℓ here is the
+    // computed (not overridden) scalar.
     vector_mechanism = &cache().Get(config_.noise, epsilon, config_.delta,
                                     plan.VectorSensitivity(level_index));
   }
@@ -313,64 +269,11 @@ std::vector<LevelRelease> GroupDpEngine::ReleaseLevels(
   return levels;
 }
 
-MultiLevelRelease GroupDpEngine::ReleaseAll(const BipartiteGraph& graph,
-                                            const GroupHierarchy& hierarchy,
-                                            gdp::common::Rng& rng) const {
-  return ReleaseAll(ReleasePlan::Build(graph, hierarchy), rng);
-}
-
 MultiLevelRelease GroupDpEngine::ReleaseAll(const ReleasePlan& plan,
                                             gdp::common::Rng& rng,
                                             gdp::common::ThreadPool* pool) const {
   return MultiLevelRelease(
       ReleaseLevels(plan, 0, plan.num_levels() - 1, rng, pool));
-}
-
-MultiLevelRelease GroupDpEngine::ReleaseAllLegacy(const BipartiteGraph& graph,
-                                                  const GroupHierarchy& hierarchy,
-                                                  gdp::common::Rng& rng) const {
-  std::vector<gdp::common::Rng> streams =
-      rng.ForkStreams(static_cast<std::size_t>(hierarchy.num_levels()));
-  std::vector<LevelRelease> levels;
-  levels.reserve(streams.size());
-  for (int i = 0; i < hierarchy.num_levels(); ++i) {
-    levels.push_back(ReleaseLevel(graph, hierarchy.level(i), i,
-                                  streams[static_cast<std::size_t>(i)]));
-  }
-  return MultiLevelRelease(std::move(levels));
-}
-
-MultiLevelRelease GroupDpEngine::ParallelReleaseAll(
-    const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-    gdp::common::Rng& rng, int num_threads) const {
-  gdp::common::ThreadPool pool(num_threads);
-  // Shard the plan's single node scan across the same pool (exactly equal
-  // to the sequential Build — integer sums over disjoint node shards).
-  const ReleasePlan plan = ReleasePlan::Build(graph, hierarchy, pool);
-  return ReleaseAll(plan, rng, &pool);
-}
-
-MultiLevelRelease GroupDpEngine::ReleaseAllWithBudgets(
-    const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-    std::span<const double> per_level_epsilon, gdp::common::Rng& rng) const {
-  if (per_level_epsilon.size() !=
-      static_cast<std::size_t>(hierarchy.num_levels())) {
-    throw std::invalid_argument(
-        "ReleaseAllWithBudgets: one epsilon required per level");
-  }
-  return ReleaseAllWithBudgets(ReleasePlan::Build(graph, hierarchy),
-                               per_level_epsilon, rng);
-}
-
-MultiLevelRelease GroupDpEngine::ReleaseAllWithBudgets(
-    const ReleasePlan& plan, std::span<const double> per_level_epsilon,
-    gdp::common::Rng& rng) const {
-  if (per_level_epsilon.size() != static_cast<std::size_t>(plan.num_levels())) {
-    throw std::invalid_argument(
-        "ReleaseAllWithBudgets: one epsilon required per level");
-  }
-  return MultiLevelRelease(ReleaseLevels(plan, 0, plan.num_levels() - 1, rng,
-                                         nullptr, per_level_epsilon));
 }
 
 }  // namespace gdp::core

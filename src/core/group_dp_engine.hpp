@@ -17,12 +17,11 @@
 //   * a subset draw of levels [a, b] is bit-identical to levels a..b of a
 //     full draw, and advances the caller's stream by exactly as much;
 //   * output never depends on the pool or its thread count (1 included);
-//   * the multi-level entry points below (plan-based, per-level budgets,
-//     pooled, and the legacy node-scan oracle) are the all-levels case.
-// Multi-level releases are plan-based — a ReleasePlan computes every level's
-// statistics in one O(V + total groups) sweep (see release_plan.hpp).  The
-// pre-plan per-level path (up to three node scans per level) is retained as
-// ReleaseAllLegacy: the bench comparator and the parity oracle.
+//   * ReleaseAll is the all-levels case.
+// Releases are plan-based — a ReleasePlan computes every level's statistics
+// in one O(V + total groups) sweep (see release_plan.hpp); release_plan_test
+// checks those statistics against the direct per-level scans
+// (Partition::GroupDegreeSums, CountSensitivity, VectorSensitivity).
 //
 // SENSITIVITY CAVEAT (documented honestly): following the paper, Δℓ is
 // computed from the dataset's own hierarchy, i.e. it is a *local* rather
@@ -164,54 +163,13 @@ class GroupDpEngine {
       gdp::common::ThreadPool* pool = nullptr,
       std::span<const double> per_level_epsilon = {}) const;
 
-  // Every level of the hierarchy with the configured εg per level (the
-  // paper's scheme: each level carries its own εg-group-DP guarantee under
-  // its own adjacency relation).  Builds a ReleasePlan internally.
-  [[nodiscard]] MultiLevelRelease ReleaseAll(const BipartiteGraph& graph,
-                                             const GroupHierarchy& hierarchy,
-                                             gdp::common::Rng& rng) const;
-
-  // Same, from a caller-owned plan (amortise the sweep across repeated
-  // releases of one graph/hierarchy pair) and optional pool.
+  // Every level of `plan` with the configured εg per level (the paper's
+  // scheme: each level carries its own εg-group-DP guarantee under its own
+  // adjacency relation): ReleaseLevels over [0, num_levels).  Per-level
+  // budgets (e.g. from PlanLevelBudgets) go through ReleaseLevels directly.
   [[nodiscard]] MultiLevelRelease ReleaseAll(
       const ReleasePlan& plan, gdp::common::Rng& rng,
       gdp::common::ThreadPool* pool = nullptr) const;
-
-  // Release one level by per-level node scans (no plan), drawing from
-  // `level_rng` as ReleaseLevelFromPlan does.  `level_index` is recorded in
-  // the artifact.
-  [[nodiscard]] LevelRelease ReleaseLevel(const BipartiteGraph& graph,
-                                          const Partition& level,
-                                          int level_index,
-                                          gdp::common::Rng& level_rng) const;
-
-  // The pre-plan path: every level rescans the node set (CountSensitivity,
-  // group counts, VectorSensitivity), with the same stream layout as
-  // ReleaseLevels — bit-identical to ReleaseAll.  Kept as the benchmark
-  // comparator and the parity oracle for the plan path.
-  [[nodiscard]] MultiLevelRelease ReleaseAllLegacy(
-      const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-      gdp::common::Rng& rng) const;
-
-  // ReleaseAll with the plan build and the draw spread over a fresh pool of
-  // `num_threads` (<= 0: hardware concurrency).  Bit-identical to ReleaseAll
-  // for every thread count.
-  [[nodiscard]] MultiLevelRelease ParallelReleaseAll(
-      const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-      gdp::common::Rng& rng, int num_threads = 0) const;
-
-  // Release with an explicit per-level budget (one epsilon per hierarchy
-  // level, e.g. from PlanLevelBudgets).  Summing the epsilons gives the
-  // sequential-composition cost of protecting every level simultaneously —
-  // the stronger guarantee bench_ablation_planned_budgets quantifies.
-  // Requires per_level_epsilon.size() == hierarchy.num_levels(), all > 0.
-  [[nodiscard]] MultiLevelRelease ReleaseAllWithBudgets(
-      const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-      std::span<const double> per_level_epsilon, gdp::common::Rng& rng) const;
-
-  [[nodiscard]] MultiLevelRelease ReleaseAllWithBudgets(
-      const ReleasePlan& plan, std::span<const double> per_level_epsilon,
-      gdp::common::Rng& rng) const;
 
   // One level from the plan, drawn from `level_rng` — the level's own stream
   // (ReleaseLevels forks it; a caller measuring one level may pass any
@@ -231,14 +189,14 @@ class GroupDpEngine {
   // expected-error analysis and tests).  Served from the mechanism cache.
   [[nodiscard]] double NoiseStddevFor(double sensitivity) const;
 
-  // Number of distinct calibrations memoized so far (tests assert that the
-  // legacy and plan paths share cache entries instead of re-deriving).
+  // Number of distinct calibrations memoized so far (tests assert that
+  // repeated releases share cache entries instead of re-deriving).
   [[nodiscard]] std::size_t MechanismCacheSize() const {
     return cache().size();
   }
 
  private:
-  // The noise half shared by both level paths: `out` arrives with its true
+  // The noise half of ReleaseLevelFromPlan: `out` arrives with its true
   // statistics and sensitivity filled; draws the total from `level_rng`,
   // then the group vector chunk by chunk (see ReleaseLevelFromPlan), and
   // applies the clamp post-processing.  A null `vector_mechanism` means the

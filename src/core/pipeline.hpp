@@ -1,25 +1,19 @@
-// End-to-end disclosure pipeline: Phase 1 (specialization) + Phase 2 (noise
-// injection), with budget accounting.  RunDisclosure is the one-call
-// convenience wrapper — it opens a DisclosureSession, releases once, and
-// closes it.  Callers that release more than once from one (graph,
-// hierarchy) pair — ε-sweeps, drilldown services, budget re-plans — should
-// hold the session instead (see core/session.hpp): the wrapper re-runs
-// Phase 1 and rebuilds the ReleasePlan on every call.
+// The flat disclosure configuration: one field per command-line flag of
+// `gdp_tool disclose` / `pack` / `serve`, mapped onto the orthogonal spec
+// structs (HierarchySpec / BudgetSpec / ExecSpec in core/session.hpp) by
+// ToSessionSpec.  A disclosure is then DisclosureSession::Open(graph,
+// config.ToSessionSpec(), rng) followed by Release(session.spec().budget,
+// rng): Phase 1 (specialization) + Phase 2 (noise injection), with budget
+// accounting on the session's ledger.
 #pragma once
 
-#include "common/rng.hpp"
 #include "core/group_dp_engine.hpp"
-#include "core/release.hpp"
 #include "core/session.hpp"
 #include "dp/accountant.hpp"
 #include "hier/specialization.hpp"
 
 namespace gdp::core {
 
-// The flat one-shot configuration, kept for source compatibility.  New code
-// should use the orthogonal spec structs directly (HierarchySpec /
-// BudgetSpec / ExecSpec in core/session.hpp); the To*Spec() methods give the
-// exact mapping and are what RunDisclosure itself uses.
 struct DisclosureConfig {
   // Total per-level privacy target εg.  BudgetPolicy splits it: Phase 1 gets
   // `phase1_fraction · εg` spread over the level transitions, Phase 2 the
@@ -61,27 +55,10 @@ struct DisclosureConfig {
   // parallel event.  See SessionSpec::strict_level_charging.
   bool strict_level_charging{false};
 
-  // The orthogonal-spec views of this flat config (the migration path).
-  [[nodiscard]] HierarchySpec ToHierarchySpec() const;
-  [[nodiscard]] BudgetSpec ToBudgetSpec() const;
-  [[nodiscard]] ExecSpec ToExecSpec() const;
-  // Session caps mirror the one-shot ledger: εg total, 2δ per-level
-  // headroom.
+  // The spec this flat config describes: .hierarchy, .budget and .exec
+  // carry the matching fields; the session caps mirror a single release's
+  // ledger (εg total, 2δ per-level headroom).
   [[nodiscard]] SessionSpec ToSessionSpec() const;
 };
-
-struct DisclosureResult {
-  gdp::hier::GroupHierarchy hierarchy;
-  MultiLevelRelease release;
-  // Budget ledger with one charge per phase (audit trail).
-  gdp::dp::BudgetLedger ledger;
-};
-
-// Run the full pipeline on a graph: open a session, release once, close.
-// Deterministic given `rng` state, and bit-identical to
-// DisclosureSession::Open + Release under the same seed and specs.
-[[nodiscard]] DisclosureResult RunDisclosure(
-    const gdp::graph::BipartiteGraph& graph, const DisclosureConfig& config,
-    gdp::common::Rng& rng);
 
 }  // namespace gdp::core

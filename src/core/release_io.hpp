@@ -3,8 +3,8 @@
 // Text format (TSV, line-oriented, # comments allowed):
 //   gdp-release v1
 //   levels <n>
-//   level <i> <sensitivity> <noise_stddev> <group_noise_stddev> \
-//         <true_total> <noisy_total> <num_groups>
+//   level <i> <sensitivity> <noise_stddev> <group_noise_stddev>
+//         <true_total> <noisy_total> <num_groups>      (one line)
 //   group_counts <i> <true_0> <noisy_0> <true_1> <noisy_1> ...
 // A stripped release serialises zeros in the true_* slots, so the same
 // format serves both evaluation artifacts and publishable ones.

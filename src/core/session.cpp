@@ -112,38 +112,12 @@ gdp::dp::MechanismEvent AnswerEventFor(std::size_t workload_size,
 MultiLevelRelease DisclosureSession::Release(const BudgetSpec& budget,
                                              gdp::common::Rng& rng,
                                              std::string label) {
-  ValidateBudget(budget);
-  if (label.empty()) {
-    label = DefaultReleaseLabel(num_releases_, budget);
-  }
-  // Charge before drawing: a cap overrun rejects the release while the rng
-  // is still untouched, and the audit trail never misses a draw.  The charge
-  // is a mechanism-level event (noise kind + multiplier), so a non-
-  // sequential accountant can compose it tighter than the (ε, δ) claim.
-  ledger_.Charge(compiled_->ChargeEventFor(budget), std::move(label));
-  ++num_releases_;
-  return MultiLevelRelease(
-      compiled_->DrawLevels(budget, 0, hierarchy().num_levels() - 1, rng));
-}
-
-MultiLevelRelease DisclosureSession::Release(gdp::common::Rng& rng,
-                                             std::string label) {
-  return Release(spec().budget, rng, std::move(label));
-}
-
-std::optional<MultiLevelRelease> DisclosureSession::TryRelease(
-    const BudgetSpec& budget, gdp::common::Rng& rng, std::string label) {
-  return TryRelease(budget, rng, std::move(label), nullptr);
-}
-
-std::optional<MultiLevelRelease> DisclosureSession::TryRelease(
-    const BudgetSpec& budget, gdp::common::Rng& rng, std::string label,
-    const ChargeGate& gate) {
-  std::optional<std::vector<LevelRelease>> levels =
-      TryReleaseLevels(budget, 0, hierarchy().num_levels() - 1, rng,
-                       std::move(label), gate);
+  std::optional<std::vector<LevelRelease>> levels = TryReleaseLevels(
+      budget, 0, hierarchy().num_levels() - 1, rng, std::move(label), nullptr);
   if (!levels.has_value()) {
-    return std::nullopt;
+    throw gdp::common::BudgetExhaustedError(
+        "DisclosureSession::Release: the release would exceed the session "
+        "grant");
   }
   return MultiLevelRelease(std::move(*levels));
 }
@@ -157,6 +131,8 @@ std::optional<std::vector<LevelRelease>> DisclosureSession::TryReleaseLevels(
   if (label.empty()) {
     label = DefaultReleaseLabel(num_releases_, budget);
   }
+  // The charge is a mechanism-level event (noise kind + multiplier), so a
+  // non-sequential accountant can compose it tighter than the (ε, δ) claim.
   const gdp::dp::MechanismEvent event = compiled_->ChargeEventFor(budget);
   // Own-ledger admission first: a grant this session cannot cover must not
   // reach the gate (the gate may persist the event durably — an inadmissible
@@ -228,22 +204,14 @@ std::vector<DrillDownEntry> DisclosureSession::Drilldown(
 std::vector<gdp::query::QueryRunResult> DisclosureSession::Answer(
     const gdp::query::Workload& workload, int level, const BudgetSpec& budget,
     gdp::common::Rng& rng, std::string label) {
-  ValidateBudgetShape(budget);
-  // Everything that can fail must fail BEFORE the charge below: a rejected
-  // call must not leave phantom spend on the ledger.
-  compiled_->CheckLevel(level, "DisclosureSession::Answer");
-  if (label.empty()) {
-    label = DefaultAnswerLabel(num_answers_, workload.size(), level, budget);
+  std::optional<std::vector<gdp::query::QueryRunResult>> results =
+      TryAnswer(workload, level, budget, rng, std::move(label), nullptr);
+  if (!results.has_value()) {
+    throw gdp::common::BudgetExhaustedError(
+        "DisclosureSession::Answer: the workload would exceed the session "
+        "grant");
   }
-  // Same order as Release: commit the spend, then draw (the artifact
-  // re-checks the already-validated shape and level, both O(1)).  One event
-  // with count = k carries the workload's sequential cost (Workload::RunCost
-  // semantics): k identical mechanisms at (ε₂, δ), each against its own
-  // query sensitivity but — both Gaussian calibrations being scale-free —
-  // all at the same noise multiplier.  An empty workload claims nothing.
-  ledger_.Charge(AnswerEventFor(workload.size(), budget), std::move(label));
-  ++num_answers_;
-  return compiled_->Answer(workload, level, budget, rng);
+  return std::move(*results);
 }
 
 std::optional<std::vector<gdp::query::QueryRunResult>>
@@ -255,8 +223,12 @@ DisclosureSession::TryAnswer(const gdp::query::Workload& workload, int level,
   if (label.empty()) {
     label = DefaultAnswerLabel(num_answers_, workload.size(), level, budget);
   }
+  // One event with count = k carries the workload's sequential cost
+  // (Workload::RunCost semantics): k identical mechanisms at (ε₂, δ), each
+  // against its own query sensitivity but — both Gaussian calibrations
+  // being scale-free — all at the same noise multiplier.
   const gdp::dp::MechanismEvent event = AnswerEventFor(workload.size(), budget);
-  // Same admission order as the gated TryRelease: own ledger first (an
+  // Same admission order as TryReleaseLevels: own ledger first (an
   // inadmissible charge must never reach a gate that persists events), then
   // the gate with ledger and rng still untouched, then commit and draw.
   if (ledger_.WouldExceed(event)) {
@@ -268,17 +240,6 @@ DisclosureSession::TryAnswer(const gdp::query::Workload& workload, int level,
   ledger_.Charge(event, std::move(label));
   ++num_answers_;
   return compiled_->Answer(workload, level, budget, rng);
-}
-
-gdp::hier::GroupHierarchy DisclosureSession::TakeHierarchy() && {
-  // Sole owner: the artifact dies when compiled_ resets below, so moving its
-  // hierarchy out is unobservable (this is the one-shot wrapper's exit path,
-  // where copying a depth-9 label set would dominate small-graph runs).  The
-  // const_cast is confined to this provably-unshared case.
-  if (compiled_.use_count() == 1) {
-    return std::move(const_cast<CompiledDisclosure&>(*compiled_).hierarchy_);
-  }
-  return compiled_->hierarchy();
 }
 
 }  // namespace gdp::core

@@ -14,9 +14,8 @@
 // own ledger, and the artifact's internally synchronized caches.
 //
 // DETERMINISM: a session adds no randomness of its own.  Open consumes the
-// caller's Rng exactly as the one-shot pipeline's Phase 1 did, and each
-// Release draws only from the Rng passed to it, so a release is bit-identical
-// to the corresponding one-shot RunDisclosure under the same seed, for ANY
+// caller's Rng only for Phase 1, and each Release draws only from the Rng
+// passed to it, so a release is a function of the seeds alone, for ANY
 // ExecSpec::num_threads (ExecSpec::noise_chunk_grain is part of the output
 // contract; thread count never is).  A tenant served from a registry-cached
 // artifact is bit-identical to a fresh session at the same seeds.
@@ -26,11 +25,12 @@
 // tenant sees); every Release / Sweep / Answer charges its own Phase-2 spend
 // with a labelled entry, so the ledger is a real audit trail across the
 // session's lifetime and a release that would exceed the session caps throws
-// BudgetExhaustedError BEFORE any noise is drawn.  TryRelease is the
-// serving layer's admission path: same guarantees, but an exhausted grant
-// returns nullopt instead of throwing.  A BudgetSpec that cannot calibrate
-// its mechanisms at all (bad ε/δ, impossible split) is rejected up front
-// with InvalidBudgetError, likewise before any draw.
+// BudgetExhaustedError BEFORE any noise is drawn.  TryReleaseLevels /
+// TryAnswer are the admission routines every release and answer runs
+// through: same guarantees, but an exhausted grant returns nullopt instead
+// of throwing, and an optional gate can veto the charge.  A BudgetSpec that
+// cannot calibrate its mechanisms at all (bad ε/δ, impossible split) is
+// rejected up front with InvalidBudgetError, likewise before any draw.
 //
 // THREADING: the shared artifact is safe for concurrent use from any number
 // of sessions; the session handle itself (ledger, counters) is externally
@@ -61,19 +61,18 @@ struct ReplayedCharge {
   std::string label;
 };
 
-// Admission gate for TryRelease: called AFTER the session's own ledger has
-// admitted the charge and BEFORE anything commits or draws.  Return false to
-// deny the release (ledger and rng untouched); throw to abort it (same
-// guarantee).  The serving layer uses this seam to consult the dataset
-// odometer and to make the charge durable (write-ahead) before any noise
-// exists.
+// Admission gate for TryReleaseLevels / TryAnswer: called AFTER the
+// session's own ledger has admitted the charge and BEFORE anything commits
+// or draws.  Return false to deny the release (ledger and rng untouched);
+// throw to abort it (same guarantee).  The serving layer uses this seam to
+// consult the dataset odometer and to make the charge durable (write-ahead)
+// before any noise exists.
 using ChargeGate = std::function<bool(const gdp::dp::MechanismEvent&)>;
 
 class DisclosureSession {
  public:
   // Compile the artifact (Phase 1 + plan build, once) and attach a session
-  // with the spec's caps — the single-tenant convenience path, bit-identical
-  // to the pre-split DisclosureSession::Open.  `graph` must outlive the
+  // with the spec's caps — the single-tenant path.  `graph` must outlive the
   // session.
   [[nodiscard]] static DisclosureSession Open(
       const gdp::graph::BipartiteGraph& graph, const SessionSpec& spec,
@@ -124,49 +123,30 @@ class DisclosureSession {
   ~DisclosureSession() = default;
 
   // One multi-level release under `budget`, drawn from `rng`, with zero
-  // graph scans (all statistics come from the shared plan).  Validates the
-  // budget (InvalidBudgetError) and charges the ledger
-  // (BudgetExhaustedError) BEFORE any noise is drawn: a rejected call
+  // graph scans (all statistics come from the shared plan):
+  // TryReleaseLevels over every level with no gate, except that a grant the
+  // ledger cannot cover throws BudgetExhaustedError.  A rejected call
   // consumes neither randomness nor budget, and the audit trail never
   // under-reports a draw.  `label` overrides the ledger entry text.
   [[nodiscard]] MultiLevelRelease Release(const BudgetSpec& budget,
                                           gdp::common::Rng& rng,
                                           std::string label = {});
 
-  // Release with the session's default budget (spec().budget).
-  [[nodiscard]] MultiLevelRelease Release(gdp::common::Rng& rng,
-                                          std::string label = {});
-
-  // Check-and-release for the serving layer: identical to Release except
-  // that a grant the ledger cannot cover returns nullopt (ledger and rng
-  // untouched) instead of throwing — admission control is an expected
-  // outcome, not exception-driven control flow.  An uncalibratable budget
-  // still throws InvalidBudgetError (a configuration error).
-  [[nodiscard]] std::optional<MultiLevelRelease> TryRelease(
-      const BudgetSpec& budget, gdp::common::Rng& rng, std::string label = {});
-
-  // TryRelease with an external admission gate, the durable serving layer's
-  // charge path.  Order of operations is the write-ahead contract:
-  //   1. validate the budget (InvalidBudgetError — nothing spent),
+  // The admission routine behind every release: levels [first, last] of
+  // the release under `budget`, ascending.  Order of operations is the
+  // write-ahead contract:
+  //   1. validate the budget (InvalidBudgetError) and the range
+  //      (std::out_of_range) — nothing spent,
   //   2. check this session's own ledger (nullopt — nothing spent),
-  //   3. run `gate(event)`: false or a throw denies/aborts with the ledger
-  //      and rng still untouched,
+  //   3. run `gate(event)` when non-null: false or a throw denies/aborts
+  //      with the ledger and rng still untouched,
   //   4. commit the ledger charge, then draw noise.
   // A gate that persists the event durably therefore guarantees every crash
   // point errs toward "budget spent", never toward unaccounted disclosure:
-  // noise exists only after the gate succeeded.  A null gate is exactly
-  // TryRelease above.
-  [[nodiscard]] std::optional<MultiLevelRelease> TryRelease(
-      const BudgetSpec& budget, gdp::common::Rng& rng, std::string label,
-      const ChargeGate& gate);
-
-  // The gated TryRelease restricted to levels [first, last] — the serving
-  // layer's entitled-view path.  Same admission order and the SAME charge as
-  // a full release (ChargeEventFor): drawing fewer levels never charges
-  // less.  The result holds levels first..last, ascending, bit-identical to
-  // those levels of the release TryRelease would draw from the same rng
-  // state (GroupDpEngine::ReleaseLevels).  A bad range throws
-  // std::out_of_range before anything is spent.
+  // noise exists only after the gate succeeded.  A sub-range is charged the
+  // SAME as a full release (ChargeEventFor) — drawing fewer levels never
+  // charges less — and is bit-identical to those levels of the full release
+  // from the same rng state (GroupDpEngine::ReleaseLevels).
   [[nodiscard]] std::optional<std::vector<LevelRelease>> TryReleaseLevels(
       const BudgetSpec& budget, int first, int last, gdp::common::Rng& rng,
       std::string label, const ChargeGate& gate);
@@ -196,21 +176,22 @@ class DisclosureSession {
 
   // Evaluate a query workload at one hierarchy level under `budget`,
   // charging the ledger with the sequential-composition cost of the
-  // workload's queries (k queries at (ε₂, δ) → (k·ε₂, k·δ)).  Reads the
-  // graph the artifact was compiled on (the one operation that still needs
-  // it — query truth is not in the plan).
+  // workload's queries (k queries at (ε₂, δ) → (k·ε₂, k·δ)): TryAnswer
+  // with no gate, except that a grant the ledger cannot cover throws
+  // BudgetExhaustedError.  Reads the graph the artifact was compiled on (the
+  // one operation that still needs it — query truth is not in the plan).
   [[nodiscard]] std::vector<gdp::query::QueryRunResult> Answer(
       const gdp::query::Workload& workload, int level,
       const BudgetSpec& budget, gdp::common::Rng& rng, std::string label = {});
 
-  // Check-and-answer for the serving layer: TryRelease's contract applied to
-  // Answer.  The order of operations is the same write-ahead discipline:
+  // The admission routine behind every answer, in TryReleaseLevels' order:
   //   1. validate the budget shape and the level (throws — nothing spent),
   //   2. check this session's own ledger (nullopt — nothing spent),
-  //   3. run `gate(event)`: false or a throw denies/aborts, nothing spent,
+  //   3. run `gate(event)` when non-null: false or a throw denies/aborts,
+  //      nothing spent,
   //   4. commit the ledger charge, then evaluate and draw.
-  // The charged event is identical to Answer's (count = workload size under
-  // sequential workload composition).  A null gate skips step 3.
+  // The charged event has count = workload size (sequential workload
+  // composition).
   [[nodiscard]] std::optional<std::vector<gdp::query::QueryRunResult>>
   TryAnswer(const gdp::query::Workload& workload, int level,
             const BudgetSpec& budget, gdp::common::Rng& rng, std::string label,
@@ -244,12 +225,6 @@ class DisclosureSession {
     return compiled_->phase1_epsilon_spent();
   }
   [[nodiscard]] int num_releases() const noexcept { return num_releases_; }
-
-  // Consume the session, yielding its hierarchy (the open-release-close
-  // wrapper's exit path).  Moves the hierarchy out of the artifact when this
-  // session is its sole owner — the artifact is dying with the session, so
-  // the move is unobservable; copies when the artifact is shared.
-  [[nodiscard]] gdp::hier::GroupHierarchy TakeHierarchy() &&;
 
  private:
   DisclosureSession(std::shared_ptr<const CompiledDisclosure> compiled,

@@ -2,8 +2,8 @@
 //
 // Every budget charge the serving layer admits is framed, CRC-tagged, and
 // fsync'd to this log BEFORE any noise is drawn (the write-ahead contract:
-// see DisclosureSession::TryRelease's gate ordering).  The consequence is
-// the only safe crash semantics for a privacy accountant: at every possible
+// see DisclosureSession::TryReleaseLevels' gate ordering).  The consequence
+// is the only safe crash semantics for a privacy accountant: at every possible
 // crash point the log claims AT LEAST as much spend as was actually
 // disclosed — budget can be stranded as "spent" by a crash, but disclosure
 // can never outrun the accounting.

@@ -24,7 +24,8 @@
 // be unpublished out from under live compiled artifacts, which hold raw
 // references to the graph), so Get's reference stays valid for the catalog's
 // lifetime.  Thread-safe: Register/Get/Contains may race freely; concurrent
-// first-Gets of one snapshot entry materialize it exactly once (call_once).
+// first-Gets of one snapshot entry materialize it exactly once (a per-entry
+// mutex).
 #pragma once
 
 #include <atomic>
@@ -58,7 +59,7 @@ struct Dataset {
   // columns borrow from.  Holding it here keeps the mapping alive for as
   // long as the Dataset (and any artifact compiled from its graph) can be
   // reached, and hands SessionRegistry the embedded plan to adopt.
-  std::shared_ptr<const gdp::storage::Snapshot> snapshot;
+  std::shared_ptr<const gdp::storage::Snapshot> snapshot{};
 };
 
 class DatasetCatalog {
@@ -100,9 +101,11 @@ class DatasetCatalog {
     gdp::core::SessionSpec publication;
     std::uint64_t compile_seed{42};
     std::vector<int> access_levels;
-    // call_once propagates exceptions WITHOUT flipping the flag, which is
-    // exactly the retry semantics a transient I/O failure wants.
-    mutable std::once_flag once;
+    // Serializes the lazy load.  `dataset` is written under it and then
+    // published by `materialized` (release); a load that throws leaves the
+    // flag false, which is the retry semantics a transient I/O failure
+    // wants.
+    mutable std::mutex load_mutex;
     mutable std::unique_ptr<const Dataset> dataset;
     mutable std::atomic<bool> materialized{false};
   };

@@ -222,6 +222,54 @@ TEST_F(CliRoundTripTest, ServeBatchDriverServesTenantsByTier) {
   std::remove(results_path.c_str());
 }
 
+TEST_F(CliRoundTripTest, PackCompileAndServeWithSameFlagsShareFingerprint) {
+  // pack --compile stores Fingerprint(spec, seed) and serve adopts the
+  // embedded plan only when its own spec fingerprints the same: the two
+  // commands must read the shared spec flags identically.
+  std::ostringstream out;
+  ASSERT_EQ(Dispatch({"generate", "--out", graph_path_, "--left", "300",
+                      "--right", "400", "--edges", "2000", "--seed", "5"},
+                     out),
+            0);
+  const std::string snap_path = dir_ + "/cli_fingerprint.gdps";
+  const std::string tenants_path = dir_ + "/cli_fp_tenants.tsv";
+  const std::string requests_path = dir_ + "/cli_fp_requests.tsv";
+  {
+    std::ofstream tenants(tenants_path);
+    tenants << "alice 10.0 0.4 0\n";
+    std::ofstream requests(requests_path);
+    requests << "alice 0.5\n";
+  }
+  const std::vector<std::string> spec_flags = {
+      "--eps",   "0.8", "--delta",   "2e-5", "--depth", "4",
+      "--arity", "2",   "--threads", "2",    "--seed",  "9",
+      "--noise-grain", "512"};
+  std::vector<std::string> pack = {"pack", "--graph", graph_path_, "--out",
+                                   snap_path, "--compile"};
+  pack.insert(pack.end(), spec_flags.begin(), spec_flags.end());
+  ASSERT_EQ(Dispatch(pack, out), 0);
+
+  const auto serve_with = [&](const std::vector<std::string>& flags) {
+    std::vector<std::string> serve = {"serve", "--snapshot", snap_path,
+                                      "--tenants", tenants_path,
+                                      "--requests", requests_path};
+    serve.insert(serve.end(), flags.begin(), flags.end());
+    std::ostringstream serve_out;
+    EXPECT_EQ(Dispatch(serve, serve_out), 0);
+    return serve_out.str();
+  };
+  EXPECT_NE(serve_with(spec_flags).find("1 snapshot adoptions"),
+            std::string::npos);
+  // Control: one flag apart, the fingerprints differ and serve recompiles.
+  std::vector<std::string> drifted = spec_flags;
+  drifted.back() = "256";
+  EXPECT_NE(serve_with(drifted).find("0 snapshot adoptions"),
+            std::string::npos);
+  std::remove(snap_path.c_str());
+  std::remove(tenants_path.c_str());
+  std::remove(requests_path.c_str());
+}
+
 TEST(CliDispatchTest, ServeRejectsMalformedTenantSpec) {
   const std::string dir = ::testing::TempDir();
   const std::string tenants_path = dir + "/bad_tenants.tsv";

@@ -69,8 +69,8 @@ TEST(CompiledDisclosureTest, TwoTenantsOneCompileOneScan) {
   DisclosureSession tenant_b = DisclosureSession::Attach(compiled);
   Rng ra(11);
   Rng rb(13);
-  const MultiLevelRelease rel_a = tenant_a.Release(ra);
-  const MultiLevelRelease rel_b = tenant_b.Release(rb);
+  const MultiLevelRelease rel_a = tenant_a.Release(tenant_a.spec().budget, ra);
+  const MultiLevelRelease rel_b = tenant_b.Release(tenant_b.spec().budget, rb);
   EXPECT_EQ(rel_a.num_levels(), 6);
   EXPECT_EQ(rel_b.num_levels(), 6);
 
@@ -85,7 +85,7 @@ TEST(CompiledDisclosureTest, TwoTenantsOneCompileOneScan) {
   EXPECT_EQ(tenant_b.num_releases(), 1);
 }
 
-// ---------- parity: attached handle == fresh session == one-shot ----------
+// ---------- parity: attached handle == fresh session ----------
 
 TEST(CompiledDisclosureTest, AttachedTenantBitIdenticalToFreshSession) {
   const BipartiteGraph g = TestGraph();
@@ -95,12 +95,14 @@ TEST(CompiledDisclosureTest, AttachedTenantBitIdenticalToFreshSession) {
   const auto compiled = CompiledDisclosure::Compile(g, spec, compile_rng);
   DisclosureSession tenant = DisclosureSession::Attach(compiled, 100.0, 0.1);
   Rng r_tenant(41);
-  const MultiLevelRelease via_artifact = tenant.Release(r_tenant);
+  const MultiLevelRelease via_artifact =
+      tenant.Release(tenant.spec().budget, r_tenant);
 
   Rng open_rng(23);
   DisclosureSession fresh = DisclosureSession::Open(g, spec, open_rng);
   Rng r_fresh(41);
-  const MultiLevelRelease via_fresh = fresh.Release(r_fresh);
+  const MultiLevelRelease via_fresh =
+      fresh.Release(fresh.spec().budget, r_fresh);
 
   ExpectBitIdentical(via_artifact, via_fresh, "attached vs fresh");
 }
@@ -161,7 +163,7 @@ TEST(CompiledDisclosureTest, ConcurrentReleasesBitIdenticalToSequential) {
 
 TEST(CompiledDisclosureTest, ConcurrentTenantHandlesOnSharedPool) {
   // exec.num_threads != 1 gives the artifact an owned ThreadPool that every
-  // tenant's release shares; concurrent ParallelReleaseAll calls must not
+  // tenant's release shares; concurrent pooled releases must not
   // race each other (each carries its own completion state) and stay
   // bit-identical to the sequential draws.
   const BipartiteGraph g = TestGraph();
@@ -262,20 +264,6 @@ TEST(CompiledDisclosureTest, ConcurrentValidateAndReleaseShareCache) {
 
 // ---------- handle semantics ----------
 
-TEST(CompiledDisclosureTest, TakeHierarchyCopiesWhenShared) {
-  const BipartiteGraph g = TestGraph();
-  Rng compile_rng(7);
-  const auto compiled = CompiledDisclosure::Compile(g, SmallSpec(), compile_rng);
-  DisclosureSession a = DisclosureSession::Attach(compiled);
-  DisclosureSession b = DisclosureSession::Attach(compiled);
-  const gdp::hier::GroupHierarchy taken = std::move(a).TakeHierarchy();
-  // `b` still serves from an intact artifact (the shared case copies).
-  Rng rng(9);
-  EXPECT_EQ(b.Release(rng).num_levels(), 6);
-  EXPECT_EQ(taken.num_levels(), 6);
-  EXPECT_EQ(compiled->hierarchy().num_levels(), 6);
-}
-
 TEST(CompiledDisclosureTest, AttachRejectsNullAndTinyGrant) {
   const BipartiteGraph g = TestGraph();
   Rng compile_rng(7);
@@ -289,28 +277,36 @@ TEST(CompiledDisclosureTest, AttachRejectsNullAndTinyGrant) {
                gdp::common::BudgetExhaustedError);
 }
 
-TEST(CompiledDisclosureTest, TryReleaseDeniesWithoutThrowOrDraw) {
+TEST(CompiledDisclosureTest, TryReleaseLevelsDeniesWithoutThrowOrDraw) {
   const BipartiteGraph g = TestGraph();
   Rng compile_rng(7);
   const auto compiled = CompiledDisclosure::Compile(g, SmallSpec(), compile_rng);
   const double phase1 = compiled->phase1_epsilon_spent();
   const BudgetSpec budget = SmallSpec().budget;
+  const int last = compiled->hierarchy().num_levels() - 1;
   // Grant covers phase 1 + exactly one release.
   DisclosureSession tenant = DisclosureSession::Attach(
       compiled, phase1 + budget.phase2_epsilon(), 0.1);
   Rng rng(17);
-  ASSERT_TRUE(tenant.TryRelease(budget, rng).has_value());
+  ASSERT_TRUE(
+      tenant.TryReleaseLevels(budget, 0, last, rng, "", nullptr).has_value());
   const Rng rng_snapshot = rng;
   const std::size_t charges_before = tenant.ledger().num_charges();
-  EXPECT_FALSE(tenant.TryRelease(budget, rng).has_value());
+  EXPECT_FALSE(
+      tenant.TryReleaseLevels(budget, 0, last, rng, "", nullptr).has_value());
   EXPECT_EQ(tenant.ledger().num_charges(), charges_before)
-      << "a denied TryRelease must not charge";
+      << "a denied TryReleaseLevels must not charge";
+  // Release is the same admission with a throw on denial.
+  EXPECT_THROW((void)tenant.Release(budget, rng),
+               gdp::common::BudgetExhaustedError);
+  EXPECT_EQ(tenant.ledger().num_charges(), charges_before)
+      << "a denied Release must not charge";
   Rng expected = rng_snapshot;
-  EXPECT_EQ(rng(), expected()) << "a denied TryRelease must not draw";
+  EXPECT_EQ(rng(), expected()) << "a denied release must not draw";
   // An uncalibratable budget is still a thrown configuration error.
   BudgetSpec bad = budget;
   bad.epsilon_g = -1.0;
-  EXPECT_THROW((void)tenant.TryRelease(bad, rng),
+  EXPECT_THROW((void)tenant.TryReleaseLevels(bad, 0, last, rng, "", nullptr),
                gdp::common::InvalidBudgetError);
 }
 
@@ -357,7 +353,7 @@ TEST(CompiledDisclosureTest, TryReleaseLevelsChargesTheFullReleaseEvent) {
   DisclosureSession ranged = DisclosureSession::Attach(compiled);
   Rng full_rng(23);
   Rng ranged_rng(23);
-  ASSERT_TRUE(full.TryRelease(budget, full_rng, "r", nullptr).has_value());
+  (void)full.Release(budget, full_rng, "r");
   const auto levels =
       ranged.TryReleaseLevels(budget, 2, 2, ranged_rng, "r", nullptr);
   ASSERT_TRUE(levels.has_value());

@@ -148,8 +148,8 @@ TEST(RangedDrawTest, PerLevelBudgetsFollowTheSameDrawOrder) {
   const std::vector<double> eps = {0.3, 0.4, 0.5, 0.6, 0.7, 0.8};
   ASSERT_EQ(eps.size(), static_cast<std::size_t>(f.plan.num_levels()));
   Rng full_rng(229);
-  const MultiLevelRelease full =
-      f.engine.ReleaseAllWithBudgets(f.plan, eps, full_rng);
+  const MultiLevelRelease full(f.engine.ReleaseLevels(
+      f.plan, 0, f.plan.num_levels() - 1, full_rng, nullptr, eps));
   Rng rng(229);
   const std::vector<LevelRelease> two =
       f.engine.ReleaseLevels(f.plan, 2, 3, rng, nullptr, eps);

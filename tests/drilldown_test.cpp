@@ -30,7 +30,7 @@ Fixture MakeFixture() {
   auto hierarchy = spec.BuildHierarchy(g, srng).hierarchy;
   const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(7);
-  auto release = engine.ReleaseAll(g, hierarchy, rng);
+  auto release = engine.ReleaseAll(ReleasePlan::Build(g, hierarchy), rng);
   return Fixture{std::move(g), std::move(hierarchy), std::move(release)};
 }
 
@@ -93,7 +93,8 @@ TEST(DrillDownTest, RejectsReleaseWithoutGroupCounts) {
   cfg.include_group_counts = false;
   const GroupDpEngine engine(cfg);
   Rng rng(11);
-  const MultiLevelRelease bare = engine.ReleaseAll(f.graph, f.hierarchy, rng);
+  const MultiLevelRelease bare =
+      engine.ReleaseAll(ReleasePlan::Build(f.graph, f.hierarchy), rng);
   EXPECT_THROW((void)DrillDown(bare, index, Side::kLeft, 0, 4, 0),
                std::invalid_argument);
 }
@@ -108,37 +109,40 @@ TEST(DrillDownTest, StrippedReleaseYieldsZeroTruth) {
   }
 }
 
-TEST(ReleaseAllWithBudgetsTest, PerLevelEpsilonsChangeNoiseScales) {
+TEST(PerLevelBudgetsTest, PerLevelEpsilonsChangeNoiseScales) {
   const Fixture f = MakeFixture();
   ReleaseConfig cfg;
   cfg.include_group_counts = false;
   const GroupDpEngine engine(cfg);
+  const ReleasePlan plan = ReleasePlan::Build(f.graph, f.hierarchy);
   // Increasing epsilon per level: noise scale relative to the uniform
   // release must shrink at generously-budgeted levels.
   const std::vector<double> budgets{0.1, 0.2, 0.4, 0.8, 1.6};
   Rng rng(13);
-  const MultiLevelRelease planned =
-      engine.ReleaseAllWithBudgets(f.graph, f.hierarchy, budgets, rng);
+  const std::vector<LevelRelease> planned =
+      engine.ReleaseLevels(plan, 0, plan.num_levels() - 1, rng, nullptr,
+                           budgets);
   Rng rng2(13);
-  const MultiLevelRelease uniform = engine.ReleaseAll(f.graph, f.hierarchy, rng2);
+  const MultiLevelRelease uniform = engine.ReleaseAll(plan, rng2);
   // Level 0 budget (0.1) < uniform (0.999): more noise.
-  EXPECT_GT(planned.level(0).noise_stddev, uniform.level(0).noise_stddev);
+  EXPECT_GT(planned[0].noise_stddev, uniform.level(0).noise_stddev);
   // Level 4 budget (1.6) > uniform: less noise.
-  EXPECT_LT(planned.level(4).noise_stddev, uniform.level(4).noise_stddev);
+  EXPECT_LT(planned[4].noise_stddev, uniform.level(4).noise_stddev);
 }
 
-TEST(ReleaseAllWithBudgetsTest, ValidatesBudgetVector) {
+TEST(PerLevelBudgetsTest, ValidatesBudgetVector) {
   const Fixture f = MakeFixture();
   const GroupDpEngine engine(ReleaseConfig{});
+  const ReleasePlan plan = ReleasePlan::Build(f.graph, f.hierarchy);
+  const int last = plan.num_levels() - 1;
   Rng rng(17);
   const std::vector<double> too_short{0.5, 0.5};
-  EXPECT_THROW((void)engine.ReleaseAllWithBudgets(f.graph, f.hierarchy,
-                                                  too_short, rng),
-               std::invalid_argument);
-  const std::vector<double> bad{0.5, 0.5, -1.0, 0.5, 0.5};
   EXPECT_THROW(
-      (void)engine.ReleaseAllWithBudgets(f.graph, f.hierarchy, bad, rng),
+      (void)engine.ReleaseLevels(plan, 0, last, rng, nullptr, too_short),
       std::invalid_argument);
+  const std::vector<double> bad{0.5, 0.5, -1.0, 0.5, 0.5};
+  EXPECT_THROW((void)engine.ReleaseLevels(plan, 0, last, rng, nullptr, bad),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -27,6 +27,22 @@ BipartiteGraph DblpMini() {
   return GenerateDblpLike(p, rng);
 }
 
+// Open a session on the config's spec and release once at its opening
+// budget, as `gdp_tool disclose` does.
+struct Disclosed {
+  core::DisclosureSession session;
+  core::MultiLevelRelease release;
+};
+
+Disclosed Disclose(const BipartiteGraph& g, const core::DisclosureConfig& cfg,
+                   Rng& rng) {
+  core::DisclosureSession session =
+      core::DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+  core::MultiLevelRelease release =
+      session.Release(session.spec().budget, rng);
+  return Disclosed{std::move(session), std::move(release)};
+}
+
 TEST(EndToEndTest, FullPipelineWithAccessTiers) {
   const BipartiteGraph g = DblpMini();
   core::DisclosureConfig cfg;
@@ -34,7 +50,7 @@ TEST(EndToEndTest, FullPipelineWithAccessTiers) {
   cfg.arity = 4;
   cfg.epsilon_g = 0.999;
   Rng rng(7);
-  const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
+  const Disclosed result = Disclose(g, cfg, rng);
 
   const core::AccessPolicy policy = core::AccessPolicy::Uniform(6);
   double previous_sigma = std::numeric_limits<double>::infinity();
@@ -51,7 +67,7 @@ TEST(EndToEndTest, StrippedReleaseKeepsOnlyNoisyData) {
   core::DisclosureConfig cfg;
   cfg.depth = 5;
   Rng rng(9);
-  const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
+  const Disclosed result = Disclose(g, cfg, rng);
   const core::MultiLevelRelease pub = result.release.StripTruth();
   for (const auto& lvl : pub.levels()) {
     EXPECT_EQ(lvl.true_total, 0.0);
@@ -73,8 +89,8 @@ TEST(EndToEndTest, GraphSurvivesIoThenDisclosure) {
   cfg.depth = 5;
   Rng r1(11);
   Rng r2(11);
-  const auto a = core::RunDisclosure(g, cfg, r1);
-  const auto b = core::RunDisclosure(loaded, cfg, r2);
+  const auto a = Disclose(g, cfg, r1);
+  const auto b = Disclose(loaded, cfg, r2);
   for (int lvl = 0; lvl <= 5; ++lvl) {
     EXPECT_DOUBLE_EQ(a.release.level(lvl).noisy_total,
                      b.release.level(lvl).noisy_total);
@@ -86,14 +102,14 @@ TEST(EndToEndTest, WorkloadOverHierarchyLevels) {
   core::DisclosureConfig cfg;
   cfg.depth = 5;
   Rng rng(13);
-  const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
+  const Disclosed result = Disclose(g, cfg, rng);
 
   query::Workload w;
   w.Add(std::make_unique<query::AssociationCountQuery>());
   Rng qrng(15);
   double prev_rer_bound = 0.0;
   for (int lvl = 0; lvl <= 5; ++lvl) {
-    const auto res = w.Run(g, result.hierarchy.level(lvl),
+    const auto res = w.Run(g, result.session.hierarchy().level(lvl),
                            core::NoiseKind::kGaussian, 0.999, 1e-5, qrng);
     // Noise scale (not the draw) must be monotone in level.
     EXPECT_GE(res[0].noise_stddev, prev_rer_bound);
@@ -110,11 +126,12 @@ TEST(EndToEndTest, GroupDpProtectsWhatEdgeDpExposes) {
   cfg.depth = 6;
   cfg.include_group_counts = false;
   Rng rng(17);
-  const auto result = core::RunDisclosure(g, cfg, rng);
+  const auto result = Disclose(g, cfg, rng);
 
   const int lvl = 4;
   const double group_weight =
-      static_cast<double>(result.hierarchy.level(lvl).MaxGroupDegreeSum(g));
+      static_cast<double>(result.session.hierarchy().level(lvl)
+                              .MaxGroupDegreeSum(g));
   Rng erng(19);
   const auto edge_release = baseline::ReleaseCountEdgeDp(
       g, core::NoiseKind::kLaplace, 0.999, 1e-5, erng);
@@ -134,8 +151,8 @@ TEST(EndToEndTest, LedgerNeverExceedsConfiguredBudget) {
     cfg.depth = 5;
     cfg.epsilon_g = eps;
     Rng rng(23);
-    const auto result = core::RunDisclosure(g, cfg, rng);
-    EXPECT_LE(result.ledger.epsilon_spent(), eps + 1e-9);
+    const auto result = Disclose(g, cfg, rng);
+    EXPECT_LE(result.session.ledger().epsilon_spent(), eps + 1e-9);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
+#include "core/group_sensitivity.hpp"
 #include "dp/gaussian.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
@@ -27,6 +28,21 @@ gdp::hier::GroupHierarchy TestHierarchy(const BipartiteGraph& g, int depth = 4) 
   const gdp::hier::Specializer spec(cfg);
   Rng rng(5);
   return spec.BuildHierarchy(g, rng).hierarchy;
+}
+
+MultiLevelRelease ReleaseAllOf(const GroupDpEngine& engine,
+                               const BipartiteGraph& g,
+                               const gdp::hier::GroupHierarchy& h, Rng& rng) {
+  return engine.ReleaseAll(ReleasePlan::Build(g, h), rng);
+}
+
+// One level drawn from `rng` as the level's own stream.
+LevelRelease ReleaseOneLevel(const GroupDpEngine& engine,
+                             const BipartiteGraph& g,
+                             const gdp::hier::GroupHierarchy& h, int level,
+                             Rng& rng) {
+  return engine.ReleaseLevelFromPlan(ReleasePlan::Build(g, h), level,
+                                     engine.config().epsilon_g, rng);
 }
 
 TEST(NoiseKindNameTest, AllNamed) {
@@ -81,7 +97,7 @@ TEST(GroupDpEngineTest, ReleaseLevelRecordsSensitivityAndTruth) {
   const auto h = TestHierarchy(g);
   const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(11);
-  const LevelRelease lr = engine.ReleaseLevel(g, h.level(2), 2, rng);
+  const LevelRelease lr = ReleaseOneLevel(engine, g, h, 2, rng);
   EXPECT_EQ(lr.level, 2);
   EXPECT_DOUBLE_EQ(lr.true_total, static_cast<double>(g.num_edges()));
   EXPECT_DOUBLE_EQ(lr.sensitivity,
@@ -95,7 +111,7 @@ TEST(GroupDpEngineTest, GroupCountsIncludedByDefault) {
   const auto h = TestHierarchy(g);
   const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(13);
-  const LevelRelease lr = engine.ReleaseLevel(g, h.level(3), 3, rng);
+  const LevelRelease lr = ReleaseOneLevel(engine, g, h, 3, rng);
   EXPECT_EQ(lr.true_group_counts.size(), h.level(3).num_groups());
   EXPECT_EQ(lr.noisy_group_counts.size(), h.level(3).num_groups());
 }
@@ -107,7 +123,7 @@ TEST(GroupDpEngineTest, GroupCountsOmittedWhenDisabled) {
   cfg.include_group_counts = false;
   const GroupDpEngine engine(cfg);
   Rng rng(13);
-  const LevelRelease lr = engine.ReleaseLevel(g, h.level(3), 3, rng);
+  const LevelRelease lr = ReleaseOneLevel(engine, g, h, 3, rng);
   EXPECT_TRUE(lr.true_group_counts.empty());
   EXPECT_TRUE(lr.noisy_group_counts.empty());
 }
@@ -117,7 +133,7 @@ TEST(GroupDpEngineTest, CoarserLevelsGetMoreNoise) {
   const auto h = TestHierarchy(g, 5);
   const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(17);
-  const MultiLevelRelease r = engine.ReleaseAll(g, h, rng);
+  const MultiLevelRelease r = ReleaseAllOf(engine, g, h, rng);
   for (int lvl = 1; lvl < r.num_levels(); ++lvl) {
     EXPECT_GE(r.level(lvl).noise_stddev, r.level(lvl - 1).noise_stddev)
         << "level " << lvl;
@@ -142,18 +158,8 @@ TEST(GroupDpEngineTest, SensitivityOverrideIsHonoured) {
   cfg.include_group_counts = false;
   const GroupDpEngine engine(cfg);
   Rng rng(19);
-  const LevelRelease lr = engine.ReleaseLevel(g, h.level(1), 1, rng);
+  const LevelRelease lr = ReleaseOneLevel(engine, g, h, 1, rng);
   EXPECT_DOUBLE_EQ(lr.sensitivity, 12345.0);
-}
-
-TEST(GroupDpEngineTest, EdgelessGraphReleasedExactly) {
-  const BipartiteGraph g(8, 8, {});
-  const Partition top = Partition::TopLevel(8, 8);
-  const GroupDpEngine engine(ReleaseConfig{});
-  Rng rng(23);
-  const LevelRelease lr = engine.ReleaseLevel(g, top, 0, rng);
-  EXPECT_EQ(lr.noisy_total, 0.0);
-  EXPECT_EQ(lr.noise_stddev, 0.0);
 }
 
 // Minimal valid hierarchy over an edgeless 2x2 graph: singletons -> top.
@@ -171,48 +177,47 @@ gdp::hier::GroupHierarchy EdgelessHierarchy() {
   return gdp::hier::GroupHierarchy(std::move(levels));
 }
 
+TEST(GroupDpEngineTest, EdgelessGraphReleasedExactly) {
+  const BipartiteGraph g(2, 2, {});
+  const auto h = EdgelessHierarchy();
+  const GroupDpEngine engine(ReleaseConfig{});
+  Rng rng(23);
+  const LevelRelease lr = ReleaseOneLevel(engine, g, h, 1, rng);
+  EXPECT_EQ(lr.noisy_total, 0.0);
+  EXPECT_EQ(lr.noise_stddev, 0.0);
+}
+
 TEST(GroupDpEngineTest, OverrideCannotManufactureNoiseWhenComputedDeltaIsZero) {
   // Δℓ computed from the data is 0 (edgeless graph) but an override is set:
-  // both release paths must take the exact-release branch — a Δ = 0 vector
+  // the release must take the exact-release branch — a Δ = 0 vector
   // mechanism cannot be calibrated, and there is no association to protect.
+  // Every level's statistics equal the direct scans of the graph.
   const BipartiteGraph g(2, 2, {});
   const auto h = EdgelessHierarchy();
   ReleaseConfig cfg;
   cfg.sensitivity_override = 7.5;
   const GroupDpEngine engine(cfg);
-  Rng plan_rng(43);
-  Rng legacy_rng(43);
-  const MultiLevelRelease planned = engine.ReleaseAll(g, h, plan_rng);
-  const MultiLevelRelease legacy = engine.ReleaseAllLegacy(g, h, legacy_rng);
-  for (const MultiLevelRelease* r : {&planned, &legacy}) {
-    ASSERT_EQ(r->num_levels(), h.num_levels());
-    for (const auto& lvl : r->levels()) {
-      EXPECT_EQ(lvl.sensitivity, 0.0);  // recorded Δ is the computed zero
-      EXPECT_EQ(lvl.noise_stddev, 0.0);
-      EXPECT_EQ(lvl.noisy_total, 0.0);
-      for (const double c : lvl.noisy_group_counts) {
-        EXPECT_EQ(c, 0.0);
-      }
-      EXPECT_EQ(lvl.noisy_group_counts.size(), lvl.true_group_counts.size());
+  Rng rng(43);
+  const MultiLevelRelease r = ReleaseAllOf(engine, g, h, rng);
+  ASSERT_EQ(r.num_levels(), h.num_levels());
+  for (int i = 0; i < r.num_levels(); ++i) {
+    const LevelRelease& lvl = r.level(i);
+    // Recorded Δ is the computed zero, not the override.
+    EXPECT_EQ(lvl.sensitivity,
+              static_cast<double>(CountSensitivity(g, h.level(i))));
+    EXPECT_EQ(lvl.sensitivity, 0.0);
+    EXPECT_EQ(lvl.true_total, static_cast<double>(g.num_edges()));
+    const std::vector<gdp::graph::EdgeCount> sums =
+        h.level(i).GroupDegreeSums(g);
+    EXPECT_EQ(lvl.true_group_counts,
+              std::vector<double>(sums.begin(), sums.end()));
+    EXPECT_EQ(lvl.noise_stddev, 0.0);
+    EXPECT_EQ(lvl.noisy_total, 0.0);
+    for (const double c : lvl.noisy_group_counts) {
+      EXPECT_EQ(c, 0.0);
     }
+    EXPECT_EQ(lvl.noisy_group_counts.size(), lvl.true_group_counts.size());
   }
-}
-
-TEST(GroupDpEngineTest, LegacyPathIsServedFromTheMechanismCache) {
-  const BipartiteGraph g = TestGraph();
-  const auto h = TestHierarchy(g);
-  const GroupDpEngine engine(ReleaseConfig{});
-  Rng rng(47);
-  EXPECT_EQ(engine.MechanismCacheSize(), 0u);
-  (void)engine.ReleaseAllLegacy(g, h, rng);
-  const std::size_t after_first = engine.MechanismCacheSize();
-  EXPECT_GT(after_first, 0u);
-  // A repeat release re-uses every calibration: pure cache hits.
-  (void)engine.ReleaseAllLegacy(g, h, rng);
-  EXPECT_EQ(engine.MechanismCacheSize(), after_first);
-  // The plan path keys calibrations identically, so it adds nothing either.
-  (void)engine.ReleaseAll(g, h, rng);
-  EXPECT_EQ(engine.MechanismCacheSize(), after_first);
 }
 
 TEST(GroupDpEngineTest, ClampNonNegativeEliminatesNegativeCounts) {
@@ -223,7 +228,7 @@ TEST(GroupDpEngineTest, ClampNonNegativeEliminatesNegativeCounts) {
   cfg.clamp_nonnegative = true;
   const GroupDpEngine engine(cfg);
   Rng rng(29);
-  const MultiLevelRelease r = engine.ReleaseAll(g, h, rng);
+  const MultiLevelRelease r = ReleaseAllOf(engine, g, h, rng);
   for (const auto& lvl : r.levels()) {
     EXPECT_GE(lvl.noisy_total, 0.0);
     for (const double c : lvl.noisy_group_counts) {
@@ -238,8 +243,8 @@ TEST(GroupDpEngineTest, ReleaseAllIsDeterministicUnderSeed) {
   const GroupDpEngine engine(ReleaseConfig{});
   Rng r1(31);
   Rng r2(31);
-  const MultiLevelRelease a = engine.ReleaseAll(g, h, r1);
-  const MultiLevelRelease b = engine.ReleaseAll(g, h, r2);
+  const MultiLevelRelease a = ReleaseAllOf(engine, g, h, r1);
+  const MultiLevelRelease b = ReleaseAllOf(engine, g, h, r2);
   for (int lvl = 0; lvl < a.num_levels(); ++lvl) {
     EXPECT_DOUBLE_EQ(a.level(lvl).noisy_total, b.level(lvl).noisy_total);
   }
@@ -255,7 +260,7 @@ TEST(GroupDpEngineTest, EmpiricalNoiseMatchesReportedStddev) {
   gdp::common::RunningStats s;
   double reported = 0.0;
   for (int t = 0; t < 4000; ++t) {
-    const LevelRelease lr = engine.ReleaseLevel(g, h.level(2), 2, rng);
+    const LevelRelease lr = ReleaseOneLevel(engine, g, h, 2, rng);
     s.Add(lr.noisy_total - lr.true_total);
     reported = lr.noise_stddev;
   }
@@ -273,7 +278,7 @@ TEST_P(EngineNoiseKindTest, ReleasesAllLevels) {
   cfg.noise = GetParam();
   const GroupDpEngine engine(cfg);
   Rng rng(41);
-  const MultiLevelRelease r = engine.ReleaseAll(g, h, rng);
+  const MultiLevelRelease r = ReleaseAllOf(engine, g, h, rng);
   EXPECT_EQ(r.num_levels(), h.num_levels());
   for (const auto& lvl : r.levels()) {
     EXPECT_TRUE(std::isfinite(lvl.noisy_total));

@@ -161,7 +161,7 @@ TEST(ParallelCompileTest, CompiledReleasesIdenticalAcrossThreadCounts) {
     auto compiled = gdp::core::CompiledDisclosure::Compile(g, s, rng);
     auto session = gdp::core::DisclosureSession::Attach(compiled);
     Rng release_rng(9);
-    return session.Release(release_rng);
+    return session.Release(session.spec().budget, release_rng);
   };
   const auto two = release_with_threads(2);
   const auto eight = release_with_threads(8);

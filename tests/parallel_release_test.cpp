@@ -1,5 +1,6 @@
 // Parity and determinism guarantees of the plan-based release engine:
-//  - plan-based ReleaseAll is BIT-identical to the legacy per-level path,
+//  - every released level's statistics (true total, true group counts,
+//    sensitivity) and calibration equal the direct per-level scans,
 //  - output is invariant across pool sizes, no pool included,
 //  - the mechanism cache never perturbs results.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/group_dp_engine.hpp"
+#include "core/group_sensitivity.hpp"
 #include "core/release_plan.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
@@ -50,17 +52,81 @@ void ExpectBitIdentical(const MultiLevelRelease& a, const MultiLevelRelease& b) 
   }
 }
 
-TEST(PlanParityTest, PlannedReleaseAllBitIdenticalToLegacy) {
-  const BipartiteGraph g = TestGraph();
-  const GroupHierarchy h = TestHierarchy(g);
-  const GroupDpEngine engine{ReleaseConfig{}};
-  Rng planned_rng(43);
-  Rng legacy_rng(43);
-  ExpectBitIdentical(engine.ReleaseAll(g, h, planned_rng),
-                     engine.ReleaseAllLegacy(g, h, legacy_rng));
+// A release from the plan with no pool.
+MultiLevelRelease PlannedRelease(const GroupDpEngine& engine,
+                                 const BipartiteGraph& g,
+                                 const GroupHierarchy& h, Rng& rng) {
+  return engine.ReleaseAll(ReleasePlan::Build(g, h), rng);
 }
 
-TEST(PlanParityTest, ParityHoldsForEveryNoiseKind) {
+// A release on a fresh pool of `num_threads` (<= 0: hardware concurrency),
+// with the plan build sharded across the same pool.
+MultiLevelRelease PooledRelease(const GroupDpEngine& engine,
+                                const BipartiteGraph& g,
+                                const GroupHierarchy& h, Rng& rng,
+                                int num_threads) {
+  gdp::common::ThreadPool pool(num_threads);
+  const ReleasePlan plan = ReleasePlan::Build(g, h, pool);
+  return engine.ReleaseAll(plan, rng, &pool);
+}
+
+// Each released level carries the statistics a direct per-level scan of the
+// graph computes (Partition::GroupDegreeSums, CountSensitivity,
+// VectorSensitivity) and noise calibrated to them.
+void ExpectStatisticsMatchDirectScans(const MultiLevelRelease& r,
+                                      const BipartiteGraph& g,
+                                      const GroupHierarchy& h,
+                                      const ReleaseConfig& cfg) {
+  ASSERT_EQ(r.num_levels(), h.num_levels());
+  for (int lvl = 0; lvl < h.num_levels(); ++lvl) {
+    const LevelRelease& x = r.level(lvl);
+    const Partition& level = h.level(lvl);
+    EXPECT_EQ(x.level, lvl);
+    EXPECT_EQ(x.true_total, static_cast<double>(g.num_edges()))
+        << "level " << lvl;
+    const double computed = static_cast<double>(CountSensitivity(g, level));
+    ASSERT_GT(computed, 0.0) << "level " << lvl;
+    EXPECT_EQ(x.sensitivity, cfg.sensitivity_override.value_or(computed))
+        << "level " << lvl;
+    EXPECT_EQ(x.noise_stddev,
+              MakeMechanism(cfg.noise, cfg.epsilon_g, cfg.delta, x.sensitivity)
+                  ->NoiseStddev())
+        << "level " << lvl;
+    if (cfg.include_group_counts) {
+      const std::vector<gdp::graph::EdgeCount> sums = level.GroupDegreeSums(g);
+      EXPECT_EQ(x.true_group_counts,
+                std::vector<double>(sums.begin(), sums.end()))
+          << "level " << lvl;
+      EXPECT_EQ(x.group_noise_stddev,
+                MakeMechanism(cfg.noise, cfg.epsilon_g, cfg.delta,
+                              VectorSensitivity(g, level).value())
+                    ->NoiseStddev())
+          << "level " << lvl;
+      EXPECT_EQ(x.noisy_group_counts.size(), x.true_group_counts.size());
+    } else {
+      EXPECT_TRUE(x.true_group_counts.empty()) << "level " << lvl;
+      EXPECT_TRUE(x.noisy_group_counts.empty()) << "level " << lvl;
+    }
+    if (cfg.clamp_nonnegative) {
+      EXPECT_GE(x.noisy_total, 0.0) << "level " << lvl;
+      for (const double c : x.noisy_group_counts) {
+        EXPECT_GE(c, 0.0) << "level " << lvl;
+      }
+    }
+  }
+}
+
+TEST(PlanParityTest, PlannedStatisticsMatchDirectScans) {
+  const BipartiteGraph g = TestGraph();
+  const GroupHierarchy h = TestHierarchy(g);
+  const ReleaseConfig cfg;
+  const GroupDpEngine engine(cfg);
+  Rng rng(43);
+  ExpectStatisticsMatchDirectScans(PlannedRelease(engine, g, h, rng), g, h,
+                                   cfg);
+}
+
+TEST(PlanParityTest, StatisticsMatchForEveryNoiseKind) {
   const BipartiteGraph g = TestGraph();
   const GroupHierarchy h = TestHierarchy(g);
   for (const NoiseKind kind :
@@ -69,14 +135,13 @@ TEST(PlanParityTest, ParityHoldsForEveryNoiseKind) {
     ReleaseConfig cfg;
     cfg.noise = kind;
     const GroupDpEngine engine(cfg);
-    Rng planned_rng(47);
-    Rng legacy_rng(47);
-    ExpectBitIdentical(engine.ReleaseAll(g, h, planned_rng),
-                       engine.ReleaseAllLegacy(g, h, legacy_rng));
+    Rng rng(47);
+    ExpectStatisticsMatchDirectScans(PlannedRelease(engine, g, h, rng), g, h,
+                                     cfg);
   }
 }
 
-TEST(PlanParityTest, ParityHoldsWithoutGroupCountsAndWithClamp) {
+TEST(PlanParityTest, StatisticsMatchWithoutGroupCountsAndWithClamp) {
   const BipartiteGraph g = TestGraph();
   const GroupHierarchy h = TestHierarchy(g);
   ReleaseConfig cfg;
@@ -84,10 +149,34 @@ TEST(PlanParityTest, ParityHoldsWithoutGroupCountsAndWithClamp) {
   cfg.clamp_nonnegative = true;
   cfg.epsilon_g = 0.1;
   const GroupDpEngine engine(cfg);
-  Rng planned_rng(53);
-  Rng legacy_rng(53);
-  ExpectBitIdentical(engine.ReleaseAll(g, h, planned_rng),
-                     engine.ReleaseAllLegacy(g, h, legacy_rng));
+  Rng rng(53);
+  ExpectStatisticsMatchDirectScans(PlannedRelease(engine, g, h, rng), g, h,
+                                   cfg);
+}
+
+TEST(PlanParityTest, ClampedGroupCountsMatchDirectScans) {
+  const BipartiteGraph g = TestGraph();
+  const GroupHierarchy h = TestHierarchy(g);
+  ReleaseConfig cfg;
+  cfg.clamp_nonnegative = true;
+  cfg.epsilon_g = 0.1;  // big noise: negatives certain without clamping
+  const GroupDpEngine engine(cfg);
+  Rng rng(57);
+  ExpectStatisticsMatchDirectScans(PlannedRelease(engine, g, h, rng), g, h,
+                                   cfg);
+}
+
+TEST(PlanParityTest, SensitivityOverrideMatchesDirectScans) {
+  // The override replaces the scalar Δℓ; the group vector stays calibrated
+  // to the computed sqrt(2)·Δℓ bound.
+  const BipartiteGraph g = TestGraph();
+  const GroupHierarchy h = TestHierarchy(g);
+  ReleaseConfig cfg;
+  cfg.sensitivity_override = 12345.0;
+  const GroupDpEngine engine(cfg);
+  Rng rng(58);
+  ExpectStatisticsMatchDirectScans(PlannedRelease(engine, g, h, rng), g, h,
+                                   cfg);
 }
 
 TEST(PlanParityTest, UniformBudgetsMatchConfiguredEpsilonPath) {
@@ -97,10 +186,13 @@ TEST(PlanParityTest, UniformBudgetsMatchConfiguredEpsilonPath) {
   const std::vector<double> budgets(
       static_cast<std::size_t>(h.num_levels()),
       engine.config().epsilon_g);
+  const ReleasePlan plan = ReleasePlan::Build(g, h);
   Rng uniform_rng(59);
   Rng budget_rng(59);
-  ExpectBitIdentical(engine.ReleaseAll(g, h, uniform_rng),
-                     engine.ReleaseAllWithBudgets(g, h, budgets, budget_rng));
+  ExpectBitIdentical(engine.ReleaseAll(plan, uniform_rng),
+                     MultiLevelRelease(engine.ReleaseLevels(
+                         plan, 0, plan.num_levels() - 1, budget_rng, nullptr,
+                         budgets)));
 }
 
 TEST(PlanParityTest, WarmMechanismCacheDoesNotChangeResults) {
@@ -109,13 +201,13 @@ TEST(PlanParityTest, WarmMechanismCacheDoesNotChangeResults) {
   const GroupDpEngine warm{ReleaseConfig{}};
   {
     Rng warmup(61);
-    (void)warm.ReleaseAll(g, h, warmup);  // populate the cache
+    (void)PlannedRelease(warm, g, h, warmup);  // populate the cache
   }
   const GroupDpEngine cold{ReleaseConfig{}};
   Rng warm_rng(67);
   Rng cold_rng(67);
-  ExpectBitIdentical(warm.ReleaseAll(g, h, warm_rng),
-                     cold.ReleaseAll(g, h, cold_rng));
+  ExpectBitIdentical(PlannedRelease(warm, g, h, warm_rng),
+                     PlannedRelease(cold, g, h, cold_rng));
 }
 
 TEST(ParallelReleaseTest, OutputInvariantAcrossThreadCounts) {
@@ -123,11 +215,11 @@ TEST(ParallelReleaseTest, OutputInvariantAcrossThreadCounts) {
   const GroupHierarchy h = TestHierarchy(g, 5);
   const GroupDpEngine engine{ReleaseConfig{}};
   Rng rng1(71);
-  const MultiLevelRelease one = engine.ParallelReleaseAll(g, h, rng1, 1);
+  const MultiLevelRelease one = PooledRelease(engine, g, h, rng1, 1);
   Rng rng2(71);
-  const MultiLevelRelease two = engine.ParallelReleaseAll(g, h, rng2, 2);
+  const MultiLevelRelease two = PooledRelease(engine, g, h, rng2, 2);
   Rng rng8(71);
-  const MultiLevelRelease eight = engine.ParallelReleaseAll(g, h, rng8, 8);
+  const MultiLevelRelease eight = PooledRelease(engine, g, h, rng8, 8);
   ExpectBitIdentical(one, two);
   ExpectBitIdentical(one, eight);
 }
@@ -138,12 +230,12 @@ TEST(ParallelReleaseTest, SeedDeterministicAndSeedSensitive) {
   const GroupDpEngine engine{ReleaseConfig{}};
   Rng a1(73);
   Rng a2(73);
-  ExpectBitIdentical(engine.ParallelReleaseAll(g, h, a1, 4),
-                     engine.ParallelReleaseAll(g, h, a2, 4));
+  ExpectBitIdentical(PooledRelease(engine, g, h, a1, 4),
+                     PooledRelease(engine, g, h, a2, 4));
   Rng b(79);
-  const MultiLevelRelease other = engine.ParallelReleaseAll(g, h, b, 4);
+  const MultiLevelRelease other = PooledRelease(engine, g, h, b, 4);
   Rng a3(73);
-  const MultiLevelRelease base = engine.ParallelReleaseAll(g, h, a3, 4);
+  const MultiLevelRelease base = PooledRelease(engine, g, h, a3, 4);
   bool any_differs = false;
   for (int lvl = 0; lvl < base.num_levels(); ++lvl) {
     any_differs |= base.level(lvl).noisy_total != other.level(lvl).noisy_total;
@@ -160,13 +252,13 @@ TEST(ParallelReleaseTest, SharedPlanAndPoolReuse) {
   Rng r1(83);
   Rng r2(83);
   // Same pool twice, same seed: identical output; and identical to the
-  // convenience overload that builds its own plan/pool.
+  // draw with no pool at all.
   ExpectBitIdentical(engine.ReleaseAll(plan, r1, &pool),
                      engine.ReleaseAll(plan, r2, &pool));
   Rng r3(83);
   Rng r4(83);
   ExpectBitIdentical(engine.ReleaseAll(plan, r3, &pool),
-                     engine.ParallelReleaseAll(g, h, r4, 2));
+                     engine.ReleaseAll(plan, r4));
 }
 
 TEST(ParallelReleaseTest, WellFormedRelease) {
@@ -174,7 +266,7 @@ TEST(ParallelReleaseTest, WellFormedRelease) {
   const GroupHierarchy h = TestHierarchy(g);
   const GroupDpEngine engine{ReleaseConfig{}};
   Rng rng(89);
-  const MultiLevelRelease r = engine.ParallelReleaseAll(g, h, rng, 0);
+  const MultiLevelRelease r = PooledRelease(engine, g, h, rng, 0);
   ASSERT_EQ(r.num_levels(), h.num_levels());
   for (int lvl = 0; lvl < r.num_levels(); ++lvl) {
     EXPECT_EQ(r.level(lvl).level, lvl);
@@ -196,11 +288,11 @@ TEST(WithinLevelParallelTest, ChunkedNoiseBitIdenticalAcross1_2_8Threads) {
   cfg.noise_chunk_grain = 16;
   const GroupDpEngine engine(cfg);
   Rng rng1(101);
-  const MultiLevelRelease one = engine.ParallelReleaseAll(g, h, rng1, 1);
+  const MultiLevelRelease one = PooledRelease(engine, g, h, rng1, 1);
   Rng rng2(101);
-  const MultiLevelRelease two = engine.ParallelReleaseAll(g, h, rng2, 2);
+  const MultiLevelRelease two = PooledRelease(engine, g, h, rng2, 2);
   Rng rng8(101);
-  const MultiLevelRelease eight = engine.ParallelReleaseAll(g, h, rng8, 8);
+  const MultiLevelRelease eight = PooledRelease(engine, g, h, rng8, 8);
   ExpectBitIdentical(one, two);
   ExpectBitIdentical(one, eight);
 }
@@ -219,8 +311,8 @@ TEST(WithinLevelParallelTest, GrainIsPartOfTheOutputContract) {
   const GroupDpEngine fine(fine_cfg);
   Rng r1(103);
   Rng r2(103);
-  const MultiLevelRelease a = coarse.ParallelReleaseAll(g, h, r1, 4);
-  const MultiLevelRelease b = fine.ParallelReleaseAll(g, h, r2, 4);
+  const MultiLevelRelease a = PooledRelease(coarse, g, h, r1, 4);
+  const MultiLevelRelease b = PooledRelease(fine, g, h, r2, 4);
   bool any_differs = false;
   for (int lvl = 0; lvl < a.num_levels(); ++lvl) {
     any_differs |=

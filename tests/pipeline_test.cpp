@@ -28,13 +28,28 @@ DisclosureConfig SmallConfig() {
   return cfg;
 }
 
+// A disclosure as `gdp_tool disclose` runs it: open a session on the
+// config's spec and release once at its opening budget.
+struct Disclosed {
+  DisclosureSession session;
+  MultiLevelRelease release;
+};
+
+Disclosed Disclose(const BipartiteGraph& g, const DisclosureConfig& cfg,
+                   Rng& rng) {
+  DisclosureSession session =
+      DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+  MultiLevelRelease release = session.Release(session.spec().budget, rng);
+  return Disclosed{std::move(session), std::move(release)};
+}
+
 TEST(PipelineTest, ProducesHierarchyReleaseAndLedger) {
   const BipartiteGraph g = TestGraph();
   Rng rng(7);
-  const DisclosureResult result = RunDisclosure(g, SmallConfig(), rng);
-  EXPECT_EQ(result.hierarchy.depth(), 5);
+  const Disclosed result = Disclose(g, SmallConfig(), rng);
+  EXPECT_EQ(result.session.hierarchy().depth(), 5);
   EXPECT_EQ(result.release.num_levels(), 6);
-  EXPECT_EQ(result.ledger.num_charges(), 2u);
+  EXPECT_EQ(result.session.ledger().num_charges(), 2u);
 }
 
 TEST(PipelineTest, BudgetSplitRespectsPhase1Fraction) {
@@ -43,10 +58,11 @@ TEST(PipelineTest, BudgetSplitRespectsPhase1Fraction) {
   cfg.epsilon_g = 1.0;
   cfg.phase1_fraction = 0.25;
   Rng rng(7);
-  const DisclosureResult result = RunDisclosure(g, cfg, rng);
-  EXPECT_NEAR(result.ledger.history()[0].event.TotalEpsilon(), 0.25, 1e-9);
-  EXPECT_NEAR(result.ledger.history()[1].event.TotalEpsilon(), 0.75, 1e-9);
-  EXPECT_LE(result.ledger.epsilon_spent(), 1.0 + 1e-9);
+  const Disclosed result = Disclose(g, cfg, rng);
+  const gdp::dp::BudgetLedger& ledger = result.session.ledger();
+  EXPECT_NEAR(ledger.history()[0].event.TotalEpsilon(), 0.25, 1e-9);
+  EXPECT_NEAR(ledger.history()[1].event.TotalEpsilon(), 0.75, 1e-9);
+  EXPECT_LE(ledger.epsilon_spent(), 1.0 + 1e-9);
 }
 
 TEST(PipelineTest, RejectsBadPhase1Fraction) {
@@ -54,9 +70,9 @@ TEST(PipelineTest, RejectsBadPhase1Fraction) {
   DisclosureConfig cfg = SmallConfig();
   Rng rng(7);
   cfg.phase1_fraction = 0.0;
-  EXPECT_THROW((void)RunDisclosure(g, cfg, rng), std::invalid_argument);
+  EXPECT_THROW((void)Disclose(g, cfg, rng), std::invalid_argument);
   cfg.phase1_fraction = 1.0;
-  EXPECT_THROW((void)RunDisclosure(g, cfg, rng), std::invalid_argument);
+  EXPECT_THROW((void)Disclose(g, cfg, rng), std::invalid_argument);
 }
 
 TEST(PipelineTest, RejectsBadEpsilon) {
@@ -64,15 +80,15 @@ TEST(PipelineTest, RejectsBadEpsilon) {
   DisclosureConfig cfg = SmallConfig();
   cfg.epsilon_g = -1.0;
   Rng rng(7);
-  EXPECT_THROW((void)RunDisclosure(g, cfg, rng), std::invalid_argument);
+  EXPECT_THROW((void)Disclose(g, cfg, rng), std::invalid_argument);
 }
 
 TEST(PipelineTest, DeterministicUnderSeed) {
   const BipartiteGraph g = TestGraph();
   Rng r1(11);
   Rng r2(11);
-  const DisclosureResult a = RunDisclosure(g, SmallConfig(), r1);
-  const DisclosureResult b = RunDisclosure(g, SmallConfig(), r2);
+  const Disclosed a = Disclose(g, SmallConfig(), r1);
+  const Disclosed b = Disclose(g, SmallConfig(), r2);
   for (int lvl = 0; lvl < a.release.num_levels(); ++lvl) {
     EXPECT_DOUBLE_EQ(a.release.level(lvl).noisy_total,
                      b.release.level(lvl).noisy_total);
@@ -83,15 +99,15 @@ TEST(PipelineTest, DifferentSeedsGiveDifferentNoise) {
   const BipartiteGraph g = TestGraph();
   Rng r1(11);
   Rng r2(12);
-  const DisclosureResult a = RunDisclosure(g, SmallConfig(), r1);
-  const DisclosureResult b = RunDisclosure(g, SmallConfig(), r2);
+  const Disclosed a = Disclose(g, SmallConfig(), r1);
+  const Disclosed b = Disclose(g, SmallConfig(), r2);
   EXPECT_NE(a.release.level(3).noisy_total, b.release.level(3).noisy_total);
 }
 
 TEST(PipelineTest, ParallelDisclosureInvariantAcrossThreadCounts) {
   // End-to-end determinism of the parallel path: graph is big enough (1200
   // nodes) that with grain 256 the level-0 vector noise really chunks, and
-  // the plan scan really shards on a per-pool basis inside RunDisclosure.
+  // the plan scan really shards on a per-pool basis inside Open.
   const BipartiteGraph g = TestGraph();
   DisclosureConfig cfg = SmallConfig();
   cfg.noise_chunk_grain = 256;
@@ -100,7 +116,7 @@ TEST(PipelineTest, ParallelDisclosureInvariantAcrossThreadCounts) {
   for (const int threads : thread_counts) {
     cfg.num_threads = threads;
     Rng rng(7);
-    releases.push_back(RunDisclosure(g, cfg, rng).release);
+    releases.push_back(Disclose(g, cfg, rng).release);
   }
   for (int t = 1; t < 3; ++t) {
     ASSERT_EQ(releases[t].num_levels(), releases[0].num_levels());
@@ -126,7 +142,7 @@ TEST(PipelineTest, RerOrderingMatchesPaperOnAverage) {
   constexpr int kTrials = 15;
   for (int t = 0; t < kTrials; ++t) {
     Rng rng(100 + static_cast<std::uint64_t>(t));
-    const DisclosureResult result = RunDisclosure(g, cfg, rng);
+    const Disclosed result = Disclose(g, cfg, rng);
     rer_fine += result.release.level(1).TotalRer();
     rer_coarse += result.release.level(4).TotalRer();
   }
@@ -136,7 +152,7 @@ TEST(PipelineTest, RerOrderingMatchesPaperOnAverage) {
 TEST(PipelineTest, LevelZeroUsesMaxDegreeSensitivity) {
   const BipartiteGraph g = TestGraph();
   Rng rng(13);
-  const DisclosureResult result = RunDisclosure(g, SmallConfig(), rng);
+  const Disclosed result = Disclose(g, SmallConfig(), rng);
   const double max_degree = static_cast<double>(
       std::max(g.MaxDegree(gdp::graph::Side::kLeft),
                g.MaxDegree(gdp::graph::Side::kRight)));
@@ -148,8 +164,8 @@ TEST(PipelineTest, EnforceConsistencyProducesConsistentRelease) {
   DisclosureConfig cfg = SmallConfig();
   cfg.enforce_consistency = true;
   Rng rng(21);
-  const DisclosureResult result = RunDisclosure(g, cfg, rng);
-  EXPECT_TRUE(gdp::core::IsHierarchicallyConsistent(result.hierarchy,
+  const Disclosed result = Disclose(g, cfg, rng);
+  EXPECT_TRUE(gdp::core::IsHierarchicallyConsistent(result.session.hierarchy(),
                                                     result.release, 1e-6));
 }
 
@@ -159,13 +175,13 @@ TEST(PipelineTest, EnforceConsistencyRequiresGroupCounts) {
   cfg.enforce_consistency = true;
   cfg.include_group_counts = false;
   Rng rng(23);
-  EXPECT_THROW((void)RunDisclosure(g, cfg, rng), std::invalid_argument);
+  EXPECT_THROW((void)Disclose(g, cfg, rng), std::invalid_argument);
 }
 
 TEST(PipelineTest, TopLevelUsesEdgeCountSensitivity) {
   const BipartiteGraph g = TestGraph();
   Rng rng(13);
-  const DisclosureResult result = RunDisclosure(g, SmallConfig(), rng);
+  const Disclosed result = Disclose(g, SmallConfig(), rng);
   EXPECT_DOUBLE_EQ(result.release.level(5).sensitivity,
                    static_cast<double>(g.num_edges()));
 }

@@ -114,24 +114,27 @@ TEST_P(PipelineProperty, StructureAndBudgetInvariants) {
   cfg.arity = param.arity;
   cfg.noise = param.noise;
   Rng rng(777);
-  const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
+  core::DisclosureSession session =
+      core::DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+  const core::MultiLevelRelease release =
+      session.Release(session.spec().budget, rng);
 
   // (1) one release per level, levels ascending.
-  EXPECT_EQ(result.release.num_levels(), param.depth + 1);
+  EXPECT_EQ(release.num_levels(), param.depth + 1);
   // (2) sensitivities non-decreasing in level.
-  const auto sens = result.hierarchy.LevelSensitivities(g);
+  const auto sens = session.hierarchy().LevelSensitivities(g);
   for (std::size_t i = 1; i < sens.size(); ++i) {
     EXPECT_GE(sens[i], sens[i - 1]);
   }
   // (3) per-level group-count vectors pair with the hierarchy.
   for (int lvl = 0; lvl <= param.depth; ++lvl) {
-    EXPECT_EQ(result.release.level(lvl).noisy_group_counts.size(),
-              result.hierarchy.level(lvl).num_groups());
+    EXPECT_EQ(release.level(lvl).noisy_group_counts.size(),
+              session.hierarchy().level(lvl).num_groups());
   }
   // (4) budget conserved.
-  EXPECT_LE(result.ledger.epsilon_spent(), cfg.epsilon_g + 1e-9);
+  EXPECT_LE(session.ledger().epsilon_spent(), cfg.epsilon_g + 1e-9);
   // (5) every level's noisy answer is finite.
-  for (const auto& lvl : result.release.levels()) {
+  for (const auto& lvl : release.levels()) {
     EXPECT_TRUE(std::isfinite(lvl.noisy_total));
   }
 }
@@ -145,10 +148,12 @@ TEST_P(PipelineProperty, RefinementHoldsAtEveryLevel) {
   cfg.noise = param.noise;
   cfg.validate_hierarchy = false;  // we re-validate by hand below
   Rng rng(888);
-  const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
+  core::DisclosureSession session =
+      core::DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+  (void)session.Release(session.spec().budget, rng);
+  const hier::GroupHierarchy& h = session.hierarchy();
   for (int lvl = 1; lvl <= param.depth; ++lvl) {
-    EXPECT_TRUE(result.hierarchy.level(lvl).IsRefinedBy(
-        result.hierarchy.level(lvl - 1)))
+    EXPECT_TRUE(h.level(lvl).IsRefinedBy(h.level(lvl - 1)))
         << "level " << lvl;
   }
 }

@@ -54,16 +54,17 @@ TEST(ReleaseIoTest, RoundTripsRealPipelineOutput) {
   const auto g = gdp::graph::GenerateUniformRandom(200, 200, 2000, rng);
   DisclosureConfig cfg;
   cfg.depth = 4;
-  const DisclosureResult result = RunDisclosure(g, cfg, rng);
+  DisclosureSession session =
+      DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+  const MultiLevelRelease release = session.Release(session.spec().budget, rng);
   std::stringstream ss;
-  WriteRelease(result.release, ss);
+  WriteRelease(release, ss);
   const MultiLevelRelease back = ReadRelease(ss);
-  ASSERT_EQ(back.num_levels(), result.release.num_levels());
+  ASSERT_EQ(back.num_levels(), release.num_levels());
   for (int i = 0; i < back.num_levels(); ++i) {
-    EXPECT_DOUBLE_EQ(back.level(i).noisy_total,
-                     result.release.level(i).noisy_total);
+    EXPECT_DOUBLE_EQ(back.level(i).noisy_total, release.level(i).noisy_total);
     EXPECT_EQ(back.level(i).noisy_group_counts.size(),
-              result.release.level(i).noisy_group_counts.size());
+              release.level(i).noisy_group_counts.size());
   }
 }
 

@@ -162,7 +162,7 @@ TEST(SessionRegistryTest, EvictionNeverInvalidatesLiveTenants) {
   (void)registry.GetOrCompile("B", gb, SmallSpec(), 7);
   EXPECT_EQ(registry.stats().evictions, 1u);
   Rng rng(9);
-  EXPECT_EQ(tenant.Release(rng).num_levels(), 6);
+  EXPECT_EQ(tenant.Release(tenant.spec().budget, rng).num_levels(), 6);
 }
 
 TEST(SessionRegistryTest, ReboundDatasetNameMissesOnDifferentGraph) {

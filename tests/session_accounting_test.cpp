@@ -48,7 +48,7 @@ TEST(SessionAccountingTest, ReleaseChargesAGaussianEventWithMultiplier) {
   Rng rng(11);
   DisclosureSession session =
       DisclosureSession::Open(graph, SpecWithPolicy(AccountingPolicy::kRdp), rng);
-  (void)session.Release(rng);
+  (void)session.Release(session.spec().budget, rng);
   const auto& history = session.ledger().history();
   ASSERT_EQ(history.size(), 2u);  // phase-1 + one release
   EXPECT_EQ(history[0].event.kind, MechanismEvent::Kind::kPureEps);
@@ -69,7 +69,7 @@ TEST(SessionAccountingTest, RdpTightensEightGaussianReleasesAtDelta1e6) {
   DisclosureSession session =
       DisclosureSession::Open(graph, SpecWithPolicy(AccountingPolicy::kRdp), rng);
   for (int i = 0; i < 8; ++i) {
-    (void)session.Release(rng);
+    (void)session.Release(session.spec().budget, rng);
   }
   const double naive_sum = session.ledger().epsilon_spent();
   const gdp::dp::BudgetCharge tightened =
@@ -95,7 +95,8 @@ TEST(SessionAccountingTest, PoliciesNeverChangeTheReleasedValues) {
     Rng rng(23);
     DisclosureSession session =
         DisclosureSession::Open(graph, SpecWithPolicy(policy), rng);
-    const MultiLevelRelease release = session.Release(rng);
+    const MultiLevelRelease release =
+        session.Release(session.spec().budget, rng);
     totals.push_back(release.level(2).noisy_total);
   }
   EXPECT_EQ(totals[0], totals[1]);
@@ -111,8 +112,8 @@ TEST(SessionAccountingTest, SequentialPolicyLedgerMatchesDefaultExactly) {
   DisclosureSession a = DisclosureSession::Open(graph, default_spec, rng_a);
   DisclosureSession b = DisclosureSession::Open(graph, explicit_spec, rng_b);
   for (int i = 0; i < 3; ++i) {
-    (void)a.Release(rng_a);
-    (void)b.Release(rng_b);
+    (void)a.Release(a.spec().budget, rng_a);
+    (void)b.Release(b.spec().budget, rng_b);
   }
   EXPECT_EQ(a.ledger().epsilon_spent(), b.ledger().epsilon_spent());
   EXPECT_EQ(a.ledger().delta_spent(), b.ledger().delta_spent());
@@ -121,7 +122,7 @@ TEST(SessionAccountingTest, SequentialPolicyLedgerMatchesDefaultExactly) {
 
 TEST(SessionAccountingTest, RdpSessionOutlastsSequentialSession) {
   // Same grant, same requests: the RDP handle must admit strictly more
-  // releases before TryRelease starts denying.
+  // releases before TryReleaseLevels starts denying.
   const BipartiteGraph graph = TestGraph();
   auto count_releases = [&graph](AccountingPolicy policy) {
     SessionSpec spec = SpecWithPolicy(policy);
@@ -129,9 +130,12 @@ TEST(SessionAccountingTest, RdpSessionOutlastsSequentialSession) {
     spec.delta_cap = 1e-2;
     Rng rng(31);
     DisclosureSession session = DisclosureSession::Open(graph, spec, rng);
+    const int last = session.hierarchy().num_levels() - 1;
     int granted = 0;
-    while (granted < 10000 &&
-           session.TryRelease(spec.budget, rng).has_value()) {
+    while (granted < 10000 && session
+                                  .TryReleaseLevels(spec.budget, 0, last, rng,
+                                                    "", nullptr)
+                                  .has_value()) {
       ++granted;
     }
     return granted;
@@ -221,8 +225,10 @@ TEST(SessionAccountingTest, StrictLevelChargingMultipliesTheWidthBackIn) {
   DisclosureSession loose = DisclosureSession::Open(graph, loose_spec, loose_rng);
   DisclosureSession strict =
       DisclosureSession::Open(graph, strict_spec, strict_rng);
-  const MultiLevelRelease loose_rel = loose.Release(loose_rng);
-  const MultiLevelRelease strict_rel = strict.Release(strict_rng);
+  const MultiLevelRelease loose_rel =
+      loose.Release(loose.spec().budget, loose_rng);
+  const MultiLevelRelease strict_rel =
+      strict.Release(strict.spec().budget, strict_rng);
 
   // Identical released bits at identical seeds: the knob is invisible to
   // the mechanism (and to the artifact fingerprint).

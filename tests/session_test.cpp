@@ -60,10 +60,19 @@ void ExpectBitIdentical(const MultiLevelRelease& a, const MultiLevelRelease& b,
   }
 }
 
-// The seed implementation of RunDisclosure, reproduced verbatim as the
-// parity oracle: specializer + plan + engine composed by hand, exactly as
-// the pre-session pipeline.cpp did.  The session/wrapper refactor must stay
-// bit-identical to THIS, not merely to itself.
+// A one-shot disclosure: open a session on `cfg` and release once at its
+// opening budget.
+MultiLevelRelease OneShot(const BipartiteGraph& graph,
+                          const DisclosureConfig& cfg, Rng& rng) {
+  DisclosureSession session =
+      DisclosureSession::Open(graph, cfg.ToSessionSpec(), rng);
+  return session.Release(session.spec().budget, rng);
+}
+
+// The seed implementation of a one-shot disclosure, reproduced verbatim as
+// the parity oracle: specializer + plan + engine composed by hand, exactly
+// as the pre-session pipeline did.  The session must stay bit-identical to
+// THIS, not merely to itself.
 MultiLevelRelease ManualOneShot(const BipartiteGraph& graph,
                                 const DisclosureConfig& config, Rng& rng) {
   const double eps_phase1 = config.epsilon_g * config.phase1_fraction;
@@ -107,21 +116,20 @@ MultiLevelRelease ManualOneShot(const BipartiteGraph& graph,
   return release;
 }
 
-// ---------- parity: session == one-shot == seed implementation ----------
+// ---------- parity: session == seed implementation ----------
 
-TEST(SessionTest, WrapperMatchesSeedImplementationSequential) {
+TEST(SessionTest, OneShotMatchesSeedImplementationSequential) {
   const BipartiteGraph g = TestGraph();
   for (const std::uint64_t seed : {7u, 11u, 29u}) {
     Rng r1(seed);
     const MultiLevelRelease oracle = ManualOneShot(g, SmallConfig(), r1);
     Rng r2(seed);
-    const DisclosureResult wrapped = RunDisclosure(g, SmallConfig(), r2);
-    ExpectBitIdentical(oracle, wrapped.release,
+    ExpectBitIdentical(oracle, OneShot(g, SmallConfig(), r2),
                        "seed " + std::to_string(seed));
   }
 }
 
-TEST(SessionTest, WrapperMatchesSeedImplementationParallel) {
+TEST(SessionTest, OneShotMatchesSeedImplementationParallel) {
   const BipartiteGraph g = TestGraph();
   DisclosureConfig cfg = SmallConfig();
   cfg.num_threads = 2;
@@ -129,32 +137,7 @@ TEST(SessionTest, WrapperMatchesSeedImplementationParallel) {
   Rng r1(17);
   const MultiLevelRelease oracle = ManualOneShot(g, cfg, r1);
   Rng r2(17);
-  const DisclosureResult wrapped = RunDisclosure(g, cfg, r2);
-  ExpectBitIdentical(oracle, wrapped.release, "parallel");
-}
-
-TEST(SessionTest, ReleaseMatchesRunDisclosureBothPaths) {
-  // Satellite contract: for every (seed, config), DisclosureSession::Release
-  // is bit-identical to RunDisclosure on the sequential AND parallel paths.
-  const BipartiteGraph g = TestGraph();
-  for (const bool parallel : {false, true}) {
-    DisclosureConfig cfg = SmallConfig();
-    if (parallel) {
-      cfg.num_threads = 4;
-      cfg.noise_chunk_grain = 256;
-    }
-    for (const std::uint64_t seed : {5u, 13u}) {
-      Rng r1(seed);
-      const DisclosureResult oneshot = RunDisclosure(g, cfg, r1);
-      Rng r2(seed);
-      DisclosureSession session =
-          DisclosureSession::Open(g, cfg.ToSessionSpec(), r2);
-      const MultiLevelRelease rel = session.Release(cfg.ToBudgetSpec(), r2);
-      ExpectBitIdentical(oneshot.release, rel,
-                         (parallel ? "parallel seed " : "sequential seed ") +
-                             std::to_string(seed));
-    }
-  }
+  ExpectBitIdentical(oracle, OneShot(g, cfg, r2), "parallel");
 }
 
 TEST(SessionTest, SecondReleaseWithDifferentEpsilonMatchesFreshOneShot) {
@@ -175,22 +158,21 @@ TEST(SessionTest, SecondReleaseWithDifferentEpsilonMatchesFreshOneShot) {
   // Post-Open rng state == post-Phase-1 state of any one-shot with the same
   // seed and phase-1 budget; each release resumes from a copy of it.
   Rng r_first = rs;
-  const MultiLevelRelease first = session.Release(cfg1.ToBudgetSpec(), r_first);
+  const MultiLevelRelease first =
+      session.Release(cfg1.ToSessionSpec().budget, r_first);
   Rng r_second = rs;
   const MultiLevelRelease second =
-      session.Release(cfg2.ToBudgetSpec(), r_second);
+      session.Release(cfg2.ToSessionSpec().budget, r_second);
 
   Rng rf1(23);
-  const DisclosureResult fresh1 = RunDisclosure(g, cfg1, rf1);
+  ExpectBitIdentical(first, OneShot(g, cfg1, rf1), "first release");
   Rng rf2(23);
-  const DisclosureResult fresh2 = RunDisclosure(g, cfg2, rf2);
-  ExpectBitIdentical(first, fresh1.release, "first release");
-  ExpectBitIdentical(second, fresh2.release, "second release, new eps");
+  ExpectBitIdentical(second, OneShot(g, cfg2, rf2), "second release, new eps");
 }
 
 TEST(SessionTest, SweepReleasesBitIdenticalToOneShots) {
   // Acceptance: a 4-point ε-sweep through one session, every point
-  // bit-identical to the corresponding one-shot RunDisclosure.
+  // bit-identical to the corresponding one-shot disclosure.
   const BipartiteGraph g = TestGraph();
   const double eps_points[] = {0.2, 0.4, 0.8, 1.6};
   const double fractions[] = {0.5, 0.25, 0.125, 0.0625};  // phase-1 ε = 0.1
@@ -206,10 +188,11 @@ TEST(SessionTest, SweepReleasesBitIdenticalToOneShots) {
     cfg.epsilon_g = eps_points[i];
     cfg.phase1_fraction = fractions[i];
     Rng r_point = rs;  // every one-shot resumes from the post-Phase-1 state
-    const MultiLevelRelease rel = session.Release(cfg.ToBudgetSpec(), r_point);
+    const MultiLevelRelease rel =
+        session.Release(cfg.ToSessionSpec().budget, r_point);
     Rng r_fresh(41);
-    const DisclosureResult fresh = RunDisclosure(g, cfg, r_fresh);
-    ExpectBitIdentical(rel, fresh.release, "sweep point " + std::to_string(i));
+    ExpectBitIdentical(rel, OneShot(g, cfg, r_fresh),
+                       "sweep point " + std::to_string(i));
   }
   // Phase 1 once + four phase-2 charges.
   EXPECT_EQ(session.ledger().num_charges(), 5u);
@@ -226,7 +209,7 @@ TEST(SessionTest, FourPointSweepPerformsExactlyOneNodeScan) {
       DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
   std::vector<BudgetSpec> budgets;
   for (const double eps : {0.3, 0.5, 0.7, 0.9}) {
-    BudgetSpec b = cfg.ToBudgetSpec();
+    BudgetSpec b = cfg.ToSessionSpec().budget;
     b.epsilon_g = eps;
     budgets.push_back(b);
   }
@@ -247,7 +230,7 @@ TEST(SessionTest, SweepPointsCarryIndependentNoise) {
   Rng rng(7);
   DisclosureSession session =
       DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
-  const std::vector<BudgetSpec> budgets(2, cfg.ToBudgetSpec());
+  const std::vector<BudgetSpec> budgets(2, cfg.ToSessionSpec().budget);
   const auto releases = session.Sweep(budgets, rng);
   EXPECT_NE(releases[0].level(2).noisy_total, releases[1].level(2).noisy_total);
 }
@@ -263,22 +246,22 @@ TEST(SessionTest, ReleaseRejectsUncalibratableBudgetUpFront) {
   const std::size_t charges_before = session.ledger().num_charges();
   const Rng rng_snapshot = rng;
 
-  BudgetSpec bad = cfg.ToBudgetSpec();
+  BudgetSpec bad = cfg.ToSessionSpec().budget;
   bad.epsilon_g = -1.0;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.ToSessionSpec().budget;
   bad.epsilon_g = 0.0;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.ToSessionSpec().budget;
   bad.delta = 0.0;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.ToSessionSpec().budget;
   bad.delta = 1.0;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.ToSessionSpec().budget;
   bad.phase1_fraction = 1.0;  // leaves zero phase-2 budget
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.ToSessionSpec().budget;
   bad.phase1_fraction = -0.2;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
 
@@ -286,13 +269,13 @@ TEST(SessionTest, ReleaseRejectsUncalibratableBudgetUpFront) {
   EXPECT_EQ(session.ledger().num_charges(), charges_before);
   Rng control = rng_snapshot;
   const MultiLevelRelease after_failures =
-      session.Release(cfg.ToBudgetSpec(), rng);
+      session.Release(cfg.ToSessionSpec().budget, rng);
   DisclosureSession control_session = [&] {
     Rng open_rng(7);
     return DisclosureSession::Open(g, cfg.ToSessionSpec(), open_rng);
   }();
   const MultiLevelRelease control_release =
-      control_session.Release(cfg.ToBudgetSpec(), control);
+      control_session.Release(cfg.ToSessionSpec().budget, control);
   ExpectBitIdentical(after_failures, control_release,
                      "release after rejected budgets");
 }
@@ -303,7 +286,7 @@ TEST(SessionTest, SweepRejectsWholeBatchOnOneBadPoint) {
   Rng rng(7);
   DisclosureSession session =
       DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
-  std::vector<BudgetSpec> budgets(3, cfg.ToBudgetSpec());
+  std::vector<BudgetSpec> budgets(3, cfg.ToSessionSpec().budget);
   budgets[2].delta = -1.0;  // the LAST point is bad
   const std::size_t charges_before = session.ledger().num_charges();
   EXPECT_THROW((void)session.Sweep(budgets, rng),
@@ -331,13 +314,13 @@ TEST(SessionTest, LedgerAccumulatesPerReleaseWithLabels) {
   ASSERT_EQ(session.ledger().num_charges(), 1u);  // phase 1
   EXPECT_NE(session.ledger().history()[0].label.find("phase1"),
             std::string::npos);
-  (void)session.Release(cfg.ToBudgetSpec(), rng);
-  (void)session.Release(cfg.ToBudgetSpec(), rng, "custom audit label");
+  (void)session.Release(cfg.ToSessionSpec().budget, rng);
+  (void)session.Release(cfg.ToSessionSpec().budget, rng, "custom audit label");
   ASSERT_EQ(session.ledger().num_charges(), 3u);
   EXPECT_EQ(session.ledger().history()[2].label, "custom audit label");
   EXPECT_EQ(session.num_releases(), 2);
-  const double expected =
-      session.phase1_epsilon_spent() + 2.0 * cfg.ToBudgetSpec().phase2_epsilon();
+  const double expected = session.phase1_epsilon_spent() +
+                          2.0 * cfg.ToSessionSpec().budget.phase2_epsilon();
   EXPECT_NEAR(session.ledger().epsilon_spent(), expected, 1e-12);
 }
 
@@ -350,9 +333,10 @@ TEST(SessionTest, ReleaseBeyondSessionCapThrowsBeforeDrawing) {
       spec.budget.phase1_epsilon() + spec.budget.phase2_epsilon();
   Rng rng(7);
   DisclosureSession session = DisclosureSession::Open(g, spec, rng);
-  (void)session.Release(rng);
+  (void)session.Release(session.spec().budget, rng);
   const Rng rng_snapshot = rng;
-  EXPECT_THROW((void)session.Release(rng), gdp::common::BudgetExhaustedError);
+  EXPECT_THROW((void)session.Release(session.spec().budget, rng),
+               gdp::common::BudgetExhaustedError);
   // The over-cap attempt drew nothing.
   Rng expected = rng_snapshot;
   EXPECT_EQ(rng(), expected());
@@ -369,7 +353,7 @@ TEST(SessionTest, SweepBeyondGrantRejectsWholeBatchAtomically) {
       spec.budget.phase1_epsilon() + 2.0 * spec.budget.phase2_epsilon();
   Rng rng(7);
   DisclosureSession session = DisclosureSession::Open(g, spec, rng);
-  const std::vector<BudgetSpec> budgets(3, cfg.ToBudgetSpec());
+  const std::vector<BudgetSpec> budgets(3, cfg.ToSessionSpec().budget);
   const std::size_t charges_before = session.ledger().num_charges();
   const Rng rng_snapshot = rng;
   EXPECT_THROW((void)session.Sweep(budgets, rng),
@@ -378,7 +362,7 @@ TEST(SessionTest, SweepBeyondGrantRejectsWholeBatchAtomically) {
   Rng expected = rng_snapshot;
   EXPECT_EQ(rng(), expected());
   // The two-point sweep the grant covers still goes through.
-  const std::vector<BudgetSpec> affordable(2, cfg.ToBudgetSpec());
+  const std::vector<BudgetSpec> affordable(2, cfg.ToSessionSpec().budget);
   EXPECT_EQ(session.Sweep(affordable, rng).size(), 2u);
 }
 
@@ -390,8 +374,8 @@ TEST(SessionTest, AnswerLabelsAreUniquePerCall) {
       DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
   gdp::query::Workload workload;
   workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
-  (void)session.Answer(workload, 2, cfg.ToBudgetSpec(), rng);
-  (void)session.Answer(workload, 2, cfg.ToBudgetSpec(), rng);
+  (void)session.Answer(workload, 2, cfg.ToSessionSpec().budget, rng);
+  (void)session.Answer(workload, 2, cfg.ToSessionSpec().budget, rng);
   const auto& charges = session.ledger().history();
   ASSERT_EQ(charges.size(), 3u);
   EXPECT_NE(charges[1].label.find("answer[0]"), std::string::npos);
@@ -404,7 +388,7 @@ TEST(SessionTest, SweepLabelsAreSweepTagged) {
   Rng rng(7);
   DisclosureSession session =
       DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
-  std::vector<BudgetSpec> budgets(2, cfg.ToBudgetSpec());
+  std::vector<BudgetSpec> budgets(2, cfg.ToSessionSpec().budget);
   (void)session.Sweep(budgets, rng);
   const auto& charges = session.ledger().history();
   ASSERT_EQ(charges.size(), 3u);
@@ -420,7 +404,7 @@ TEST(SessionTest, DrilldownMatchesDirectDrillDown) {
   Rng rng(31);
   DisclosureSession session =
       DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
-  const MultiLevelRelease rel = session.Release(rng);
+  const MultiLevelRelease rel = session.Release(session.spec().budget, rng);
   const auto via_session =
       session.Drilldown(rel, gdp::graph::Side::kLeft, 42, 5, 1);
   const gdp::hier::HierarchyIndex index(session.hierarchy());
@@ -444,7 +428,7 @@ TEST(SessionTest, AnswerMatchesWorkloadRunAndChargesLedger) {
       .Add(std::make_unique<gdp::query::DegreeHistogramQuery>(
           gdp::graph::Side::kLeft, 20));
 
-  const BudgetSpec budget = cfg.ToBudgetSpec();
+  const BudgetSpec budget = cfg.ToSessionSpec().budget;
   Rng r_direct = rng;
   const auto direct =
       workload.Run(g, session.hierarchy().level(2), budget.noise,
@@ -470,9 +454,10 @@ TEST(SessionTest, AnswerRejectsBadLevelWithoutChargingLedger) {
   gdp::query::Workload workload;
   workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
   const std::size_t charges_before = session.ledger().num_charges();
-  EXPECT_THROW((void)session.Answer(workload, 99, cfg.ToBudgetSpec(), rng),
+  const BudgetSpec budget = cfg.ToSessionSpec().budget;
+  EXPECT_THROW((void)session.Answer(workload, 99, budget, rng),
                std::out_of_range);
-  EXPECT_THROW((void)session.Answer(workload, -1, cfg.ToBudgetSpec(), rng),
+  EXPECT_THROW((void)session.Answer(workload, -1, budget, rng),
                std::out_of_range);
   EXPECT_EQ(session.ledger().num_charges(), charges_before)
       << "a rejected Answer must not leave phantom spend on the ledger";
@@ -504,7 +489,7 @@ TEST(SessionTest, ConsistencySessionReleasesAreConsistent) {
   DisclosureSession session =
       DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
   for (int i = 0; i < 2; ++i) {
-    const MultiLevelRelease rel = session.Release(rng);
+    const MultiLevelRelease rel = session.Release(session.spec().budget, rng);
     EXPECT_TRUE(IsHierarchicallyConsistent(session.hierarchy(), rel, 1e-6));
   }
 }
@@ -529,7 +514,7 @@ TEST(SessionTest, ParallelSessionInvariantAcrossThreadCounts) {
     Rng rng(7);
     DisclosureSession session =
         DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
-    releases.push_back(session.Release(rng));
+    releases.push_back(session.Release(session.spec().budget, rng));
   }
   ExpectBitIdentical(releases[0], releases[1], "2 vs 8 threads");
 }
@@ -541,7 +526,7 @@ TEST(SessionTest, SessionIsMovable) {
   DisclosureSession session =
       DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
   DisclosureSession moved = std::move(session);
-  const MultiLevelRelease rel = moved.Release(rng);
+  const MultiLevelRelease rel = moved.Release(moved.spec().budget, rng);
   EXPECT_EQ(rel.num_levels(), 6);
   EXPECT_EQ(moved.num_releases(), 1);
 }
