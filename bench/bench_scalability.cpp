@@ -204,7 +204,8 @@ BENCHMARK(BM_ParallelLevel0Noise)
     ->Args({640'000, 2})
     ->Args({640'000, 4})
     ->Args({640'000, 8})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();  // wall time: the pool's workers are not main-thread CPU
 
 // Sharded plan construction: the plan's one node scan is cut into
 // fixed-size node shards with per-shard accumulators merged at the end
@@ -230,7 +231,8 @@ BENCHMARK(BM_ShardedPlanBuild)->Apply([](benchmark::internal::Benchmark* b) {
       ->Args({640'000, 2})
       ->Args({640'000, 4})
       ->Args({640'000, 8})
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->UseRealTime();  // wall time: the shards run on the pool's workers
   if (LargeMode()) {
     b->Args({10'000'000, 1})
         ->Args({10'000'000, 8})

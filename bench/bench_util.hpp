@@ -72,7 +72,9 @@ inline gdp::graph::BipartiteGraph MakeDblpLikeGraph(double fraction,
   const auto params = gdp::graph::DblpScaledParams(fraction);
   gdp::common::Stopwatch sw;
   auto graph = gdp::graph::GenerateDblpLike(params, rng);
-  std::cout << "# generated " << graph.Summary() << " in "
+  // stderr: the wall time differs run to run, and stdout must not, so that
+  // two runs at one seed print identical results.
+  std::cerr << "# generated " << graph.Summary() << " in "
             << gdp::common::FormatDouble(sw.ElapsedSeconds(), 2) << "s (scale "
             << fraction << " of DBLP)\n";
   return graph;

@@ -316,8 +316,17 @@ std::vector<gdp::query::QueryRunResult> CompiledDisclosure::Answer(
     gdp::common::Rng& rng) const {
   ValidateBudgetShape(budget);
   CheckLevel(level, "CompiledDisclosure::Answer");
-  return workload.Run(*graph_, hierarchy_.level(level), budget.noise,
-                      budget.phase2_epsilon(), budget.delta, rng);
+  // The plan already holds every statistic the queries read: no node scan.
+  const gdp::graph::EdgeCount delta_l = plan_.CountSensitivity(level);
+  const gdp::query::LevelStats stats{
+      *graph_,
+      hierarchy_.level(level),
+      plan_.num_edges(),
+      plan_.GroupDegreeSums(level),
+      delta_l,
+      delta_l == 0 ? 0.0 : plan_.VectorSensitivity(level)};
+  return workload.Run(stats, budget.noise, budget.phase2_epsilon(),
+                      budget.delta, rng);
 }
 
 }  // namespace gdp::core

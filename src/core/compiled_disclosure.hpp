@@ -24,7 +24,8 @@
 // OWNERSHIP: Compile returns a shared_ptr; tenants, registries, and in-flight
 // requests share it.  A registry evicting its reference never invalidates a
 // tenant mid-request — the artifact lives until the last handle drops.  The
-// graph must outlive the artifact (Answer reads it; releases never do).
+// graph must outlive the artifact (Answer's degree histogram reads it;
+// releases never do).
 #pragma once
 
 #include <cstdint>
@@ -204,8 +205,10 @@ class CompiledDisclosure {
       gdp::hier::NodeIndex v) const;
 
   // Evaluate a query workload at one hierarchy level under `budget` (no
-  // ledger charge — see DisclosureSession::Answer).  Reads the graph the
-  // artifact was compiled on.
+  // ledger charge — see DisclosureSession::Answer).  The queries read the
+  // plan's statistics for that level (|E|, group degree sums, Δℓ and
+  // sqrt(2)·Δℓ) and the graph's node degrees: zero degree-sum scans, and
+  // results bit-identical to Workload::Run(graph, level, …).
   [[nodiscard]] std::vector<gdp::query::QueryRunResult> Answer(
       const gdp::query::Workload& workload, int level, const BudgetSpec& budget,
       gdp::common::Rng& rng) const;

@@ -152,12 +152,16 @@ void GroupDpEngine::DrawLevelNoise(
     const std::size_t num_chunks = (n + grain - 1) / grain;
     std::vector<gdp::common::Rng> streams = level_rng.ForkStreams(num_chunks);
     out.noisy_group_counts.resize(n);
+    const double* truth = out.true_group_counts.data();
+    double* noisy = out.noisy_group_counts.data();
     const auto draw_chunk = [&](std::size_t chunk, std::size_t begin,
                                 std::size_t end) {
-      gdp::common::Rng& chunk_rng = streams[chunk];
+      // A local copy: the streams sit next to each other in one vector, so
+      // drawing through a reference would have every pool thread write
+      // the same few cache lines.
+      gdp::common::Rng chunk_rng = streams[chunk];
       for (std::size_t i = begin; i < end; ++i) {
-        out.noisy_group_counts[i] =
-            vector_mechanism->AddNoise(out.true_group_counts[i], chunk_rng);
+        noisy[i] = vector_mechanism->AddNoise(truth[i], chunk_rng);
       }
     };
     if (pool != nullptr && num_chunks > 1) {
@@ -252,9 +256,9 @@ std::vector<LevelRelease> GroupDpEngine::ReleaseLevels(
     const double eps = per_level_epsilon.empty()
                            ? config_.epsilon_g
                            : per_level_epsilon[static_cast<std::size_t>(level)];
-    levels[i] = ReleaseLevelFromPlan(plan, level, eps,
-                                     streams[static_cast<std::size_t>(level)],
-                                     pool);
+    // Drawn from a local copy of the level's stream (see DrawLevelNoise).
+    gdp::common::Rng level_rng = streams[static_cast<std::size_t>(level)];
+    levels[i] = ReleaseLevelFromPlan(plan, level, eps, level_rng, pool);
   };
   if (pool != nullptr && count > 1) {
     // Nested use of the same pool: each large level's vector draw is split

@@ -5,12 +5,15 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
-#include <optional>
+#include <string_view>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 
 namespace gdp::net {
@@ -23,7 +26,7 @@ using gdp::common::NetProtocolError;
 // typed Overloaded, or a typed Error.  Anything else is a protocol
 // violation from the server's side.
 template <typename T, typename DecodeFn>
-Reply<T> ParseReply(const std::string& payload, wire::MsgKind expected,
+Reply<T> ParseReply(std::string_view payload, wire::MsgKind expected,
                     DecodeFn&& decode) {
   Reply<T> reply;
   const wire::MsgKind kind = wire::PeekKind(payload);
@@ -122,6 +125,58 @@ void SendAll(int fd, const char* data, std::size_t size) {
   }
 }
 
+// Frame header and payload as two iovecs of one sendmsg (no framed copy,
+// and no header-only segment for Nagle to hold back).
+void SendFrame(int fd, std::string_view payload) {
+  const std::array<char, wire::kFrameHeaderSize> header =
+      wire::FrameHeader(payload);
+  const std::size_t total = header.size() + payload.size();
+  std::size_t sent = 0;
+  while (sent < header.size()) {
+    iovec iov[2] = {
+        {const_cast<char*>(header.data()) + sent, header.size() - sent},
+        {const_cast<char*>(payload.data()), payload.size()}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      throw IoError(std::string("net::Client: sendmsg(): ") +
+                    std::strerror(errno));
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  if (sent < total) {
+    const std::size_t off = sent - header.size();
+    SendAll(fd, payload.data() + off, payload.size() - off);
+  }
+}
+
+// Fill `size` bytes at `data` from the socket.  A close before the last
+// byte is an IoError: the server went away mid-response.
+void RecvExact(int fd, char* data, std::size_t size) {
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::recv(fd, data + got, size - got, 0);
+    if (n == 0) {
+      throw IoError(
+          "net::Client: server closed the connection mid-response (a framing "
+          "violation on our side, a server shutdown, or a read timeout)");
+    }
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      throw IoError(std::string("net::Client: recv(): ") +
+                    std::strerror(errno));
+    }
+    got += static_cast<std::size_t>(n);
+  }
+}
+
 }  // namespace
 
 Client::Client(std::uint16_t port) : Client("127.0.0.1", port) {}
@@ -137,31 +192,20 @@ Client::~Client() {
   }
 }
 
-std::string Client::RoundTrip(const std::string& payload) {
-  const std::string framed = wire::Frame(payload);
-  SendAll(fd_, framed.data(), framed.size());
-  std::string buffer;
-  char chunk[16 * 1024];
-  for (;;) {
-    std::optional<std::string> response = wire::TryDeframe(buffer);
-    if (response.has_value()) {
-      return *response;
-    }
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      throw IoError(
-          "net::Client: server closed the connection mid-response (a framing "
-          "violation on our side, a server shutdown, or a read timeout)");
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw IoError(std::string("net::Client: recv(): ") +
-                    std::strerror(errno));
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
+std::string_view Client::RoundTrip(const std::string& payload) {
+  SendFrame(fd_, payload);
+  // The header's declared length is checked against kMaxPayload before it
+  // sizes anything; the payload then lands straight in a buffer of exactly
+  // that size and is CRC-checked in place.
+  std::array<char, wire::kFrameHeaderSize> header{};
+  RecvExact(fd_, header.data(), header.size());
+  const std::uint32_t len = wire::CheckedPayloadLength(header);
+  response_.resize(len);
+  RecvExact(fd_, response_.data(), response_.size());
+  if (gdp::common::Crc32(response_) != wire::DeclaredCrc(header)) {
+    throw NetProtocolError("GDPNET01 frame: payload CRC mismatch");
   }
+  return response_;
 }
 
 Reply<wire::ServeOutcome> Client::Serve(const wire::ServeRequest& req) {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -60,10 +61,16 @@ class Client {
   [[nodiscard]] Reply<wire::StatsResponse> Stats();
 
  private:
-  // Write one framed payload, read one framed response payload.
-  [[nodiscard]] std::string RoundTrip(const std::string& payload);
+  // Write one framed payload, read one framed response payload: the header
+  // first, its declared length checked against kMaxPayload, then the
+  // payload straight into response_ resized to that length, CRC-checked in
+  // place.  The view is valid until the next call.
+  [[nodiscard]] std::string_view RoundTrip(const std::string& payload);
 
   int fd_{-1};
+  // Receive buffer, reused across calls: a repeated large response costs
+  // no fresh allocation or zero-fill.
+  std::string response_;
 };
 
 }  // namespace gdp::net

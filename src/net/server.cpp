@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -383,6 +384,10 @@ void Server::ReadReady(const std::shared_ptr<Connection>& conn) {
       return;
     }
     conn->inbox.append(chunk, static_cast<std::size_t>(n));
+    // Read cursor over the inbox: frames are consumed by advancing it, and
+    // the consumed prefix is erased once per read (erasing each frame from
+    // the front is quadratic when a peer pipelines many).
+    std::size_t pos = 0;
     if (!conn->got_magic) {
       if (conn->inbox.size() >= wire::kMagicSize) {
         if (std::memcmp(conn->inbox.data(), wire::kMagic, wire::kMagicSize) !=
@@ -393,18 +398,19 @@ void Server::ReadReady(const std::shared_ptr<Connection>& conn) {
           CloseFromIo(conn);
           return;
         }
-        conn->inbox.erase(0, wire::kMagicSize);
+        pos = wire::kMagicSize;
         conn->got_magic = true;
       }
     }
     if (conn->got_magic) {
       try {
         for (;;) {
-          std::optional<std::string> payload = wire::TryDeframe(conn->inbox);
+          std::optional<std::string> payload =
+              wire::TryDeframe(conn->inbox, pos);
           if (!payload.has_value()) {
             break;
           }
-          if (!HandlePayload(conn, *payload)) {
+          if (!HandlePayload(conn, std::move(*payload))) {
             CloseFromIo(conn);
             return;
           }
@@ -432,6 +438,7 @@ void Server::ReadReady(const std::shared_ptr<Connection>& conn) {
         return;
       }
     }
+    conn->inbox.erase(0, pos);
   }
   // A peer is only on the clock while it owes us bytes: before the magic,
   // or with a frame started but incomplete.  An idle connection between
@@ -459,25 +466,16 @@ void Server::WriteReady(const std::shared_ptr<Connection>& conn) {
     if (conn->fd < 0) {
       return;
     }
-    while (!conn->outbox.empty()) {
-      const ssize_t n = ::send(conn->fd, conn->outbox.data(),
-                               conn->outbox.size(),
-                               MSG_NOSIGNAL | MSG_DONTWAIT);
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          return;  // still full; EPOLLOUT stays armed
-        }
-        conn->alive.store(false, std::memory_order_release);
+    switch (FlushOutbox(*conn)) {
+      case FlushResult::kBlocked:
+        return;  // still full; EPOLLOUT stays armed
+      case FlushResult::kFailed:
         close_now = true;
         break;
-      }
-      conn->outbox.erase(0, static_cast<std::size_t>(n));
-    }
-    if (!close_now && conn->close_after_flush) {
-      close_now = true;  // typed error delivered; the close it promised
+      case FlushResult::kDrained:
+        // A typed error delivered: the close it promised.
+        close_now = conn->close_after_flush;
+        break;
     }
   }
   if (close_now) {
@@ -487,8 +485,60 @@ void Server::WriteReady(const std::shared_ptr<Connection>& conn) {
   UpdateInterest(conn, false);
 }
 
+Server::FlushResult Server::FlushOutbox(Connection& conn) {
+  // Up to this many frames go out per sendmsg.
+  constexpr std::size_t kFramesPerSend = 16;
+  while (!conn.outbox.empty()) {
+    iovec iov[2 * kFramesPerSend];
+    std::size_t iovcnt = 0;
+    std::size_t skip = conn.outbox_sent;
+    for (const OutFrame& frame : conn.outbox) {
+      if (iovcnt + 2 > std::size(iov)) {
+        break;
+      }
+      for (const std::string_view part :
+           {std::string_view(frame.header.data(), frame.header.size()),
+            std::string_view(frame.payload)}) {
+        if (skip >= part.size()) {
+          skip -= part.size();
+          continue;
+        }
+        iov[iovcnt++] = {const_cast<char*>(part.data()) + skip,
+                         part.size() - skip};
+        skip = 0;
+      }
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
+    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return FlushResult::kBlocked;
+      }
+      // Hard error (peer reset): the I/O thread observes EPOLLHUP/ERR and
+      // closes; nobody writes here again.
+      conn.alive.store(false, std::memory_order_release);
+      conn.outbox.clear();
+      conn.outbox_sent = 0;
+      return FlushResult::kFailed;
+    }
+    std::size_t sent = conn.outbox_sent + static_cast<std::size_t>(n);
+    while (!conn.outbox.empty() &&
+           sent >= wire::kFrameHeaderSize + conn.outbox.front().payload.size()) {
+      sent -= wire::kFrameHeaderSize + conn.outbox.front().payload.size();
+      conn.outbox.pop_front();
+    }
+    conn.outbox_sent = sent;
+  }
+  return FlushResult::kDrained;
+}
+
 bool Server::HandlePayload(const std::shared_ptr<Connection>& conn,
-                           const std::string& payload) {
+                           std::string payload) {
   wire::MsgKind kind{};
   try {
     kind = wire::PeekKind(payload);
@@ -569,10 +619,9 @@ bool Server::HandlePayload(const std::shared_ptr<Connection>& conn,
                    std::to_string(max_in_flight) + "); retry later"}));
     return true;
   }
-  std::string job_payload = payload;
   const bool accepted = queue_.TrySubmit([this, conn, tenant, sequence,
                                           job_payload = std::move(
-                                              job_payload)]() {
+                                              payload)]() {
     RunJob(conn, job_payload, sequence);
     ReleaseTenant(tenant);
   });
@@ -698,85 +747,42 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn,
     response = wire::Encode(
         wire::ErrorResponse{wire::ErrorCode::kInternal, e.what()});
   }
-  Send(conn, response);
+  Send(conn, std::move(response));
   requests_completed_.Add();
 }
 
 void Server::Send(const std::shared_ptr<Connection>& conn,
-                  const std::string& payload) {
-  std::array<char, wire::kFrameHeaderSize> header{};
-  std::string substitute;
-  std::string_view body = payload;
+                  std::string payload) {
+  OutFrame frame;
   try {
-    header = wire::FrameHeader(body);
+    frame.header = wire::FrameHeader(payload);
+    frame.payload = std::move(payload);
   } catch (const NetProtocolError&) {
     // A response too large to frame: substitute a typed error (the client
     // must see SOMETHING for its request).
-    substitute = wire::Encode(wire::ErrorResponse{
+    frame.payload = wire::Encode(wire::ErrorResponse{
         wire::ErrorCode::kInternal, "response exceeds the frame cap"});
-    body = substitute;
-    header = wire::FrameHeader(body);
+    frame.header = wire::FrameHeader(frame.payload);
   }
-  const std::size_t total = header.size() + body.size();
-  bool park = false;
   {
     const std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (conn->fd < 0 || !conn->alive.load(std::memory_order_acquire)) {
       return;
     }
-    std::size_t sent = 0;
-    if (conn->outbox.empty()) {
-      while (sent < total) {
-        // Header and payload as two iovecs: the payload is never copied
-        // into a framed buffer on the path that does not park.
-        iovec iov[2];
-        int iovcnt = 0;
-        if (sent < header.size()) {
-          iov[iovcnt++] = {header.data() + sent, header.size() - sent};
-          iov[iovcnt++] = {const_cast<char*>(body.data()), body.size()};
-        } else {
-          const std::size_t off = sent - header.size();
-          iov[iovcnt++] = {const_cast<char*>(body.data()) + off,
-                           body.size() - off};
-        }
-        msghdr msg{};
-        msg.msg_iov = iov;
-        msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
-        const ssize_t n =
-            ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
-        if (n < 0) {
-          if (errno == EINTR) {
-            continue;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            // Slow client: park the remainder and let EPOLLOUT finish the
-            // frame — this worker moves on to the next job immediately.
-            partial_writes_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-          // Hard error (peer reset): the I/O thread observes EPOLLHUP/ERR
-          // and closes; nobody writes here again.
-          conn->alive.store(false, std::memory_order_release);
-          return;
-        }
-        sent += static_cast<std::size_t>(n);
+    const bool queued_ahead = !conn->outbox.empty();
+    conn->outbox.push_back(std::move(frame));
+    if (!queued_ahead) {
+      // Nothing ahead of this frame: write it now, on this thread.
+      const FlushResult result = FlushOutbox(*conn);
+      if (result != FlushResult::kBlocked) {
+        return;
       }
-    }
-    if (sent < total) {
-      // Earlier bytes still queued (append preserves response order on the
-      // connection) or a partial write: the unsent tail goes to the outbox.
-      park = true;
-      if (sent < header.size()) {
-        conn->outbox.append(header.data() + sent, header.size() - sent);
-        conn->outbox.append(body);
-      } else {
-        conn->outbox.append(body.substr(sent - header.size()));
-      }
+      // Slow client: the rest waits for EPOLLOUT — this worker moves on
+      // to the next job immediately.
+      partial_writes_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (park) {
-    RequestWrite(conn);
-  }
+  RequestWrite(conn);
 }
 
 void Server::RequestWrite(const std::shared_ptr<Connection>& conn) {
@@ -804,22 +810,8 @@ void Server::DrainAndCloseAll() {
       if (conn->fd < 0 || !conn->alive.load(std::memory_order_acquire)) {
         continue;
       }
-      while (!conn->outbox.empty()) {
-        const ssize_t n = ::send(conn->fd, conn->outbox.data(),
-                                 conn->outbox.size(),
-                                 MSG_NOSIGNAL | MSG_DONTWAIT);
-        if (n < 0) {
-          if (errno == EINTR) {
-            continue;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            outstanding = true;
-          } else {
-            conn->alive.store(false, std::memory_order_release);
-          }
-          break;
-        }
-        conn->outbox.erase(0, static_cast<std::size_t>(n));
+      if (FlushOutbox(*conn) == FlushResult::kBlocked) {
+        outstanding = true;
       }
     }
     if (!outstanding || steady_clock::now() >= deadline) {

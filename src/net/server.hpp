@@ -24,8 +24,9 @@
 // never a dropped connection, never a crash (pinned by net_server_test).
 //
 // SLOW CLIENTS never block a worker: responses are sent nonblocking; a
-// partial write parks the remainder in the connection's outbox and the I/O
-// thread finishes it under EPOLLOUT.  Slow READERS (a partial magic/frame
+// partial write moves the payload itself (never a copy of its tail) into
+// the connection's outbox with a send offset, and the I/O thread finishes
+// it under EPOLLOUT.  Slow READERS (a partial magic/frame
 // outwaiting read_timeout_ms) are closed by a timerfd sweep; idle
 // connections between complete requests are never on the clock, which is
 // what lets thousands of mostly-idle connections sit on one thread.
@@ -54,9 +55,11 @@
 // does not bounce one cache line across the worker pool.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -123,6 +126,20 @@ class Server {
   [[nodiscard]] JobQueue& queue() noexcept { return queue_; }
 
  private:
+  // One response frame: its header, and the payload the worker encoded,
+  // moved in.
+  struct OutFrame {
+    std::array<char, wire::kFrameHeaderSize> header{};
+    std::string payload;
+  };
+
+  // What FlushOutbox left behind.
+  enum class FlushResult {
+    kDrained,  // every queued byte is on the socket
+    kBlocked,  // the socket is full (EAGAIN); frames stay queued
+    kFailed,   // hard socket error; alive cleared, outbox dropped
+  };
+
   // One live client connection.  Reader-side state (inbox, got_magic,
   // deadline) is touched ONLY by the I/O thread; writer-side state (fd use,
   // outbox, close_after_flush) is shared between workers and the I/O thread
@@ -132,10 +149,16 @@ class Server {
     std::atomic<bool> alive{true};
 
     std::mutex write_mutex;
-    std::string outbox;            // bytes awaiting an EPOLLOUT flush
+    // Frames awaiting an EPOLLOUT flush, oldest first.  The first
+    // `outbox_sent` bytes of the front frame (header, then payload) are
+    // already on the socket; each frame is popped, and its payload freed,
+    // as its last byte leaves.
+    std::deque<OutFrame> outbox;
+    std::size_t outbox_sent{0};
     bool close_after_flush{false};  // protocol violation: error frame, close
 
-    // I/O-thread-private reader state.
+    // I/O-thread-private reader state.  Between reads `inbox` holds only
+    // the bytes of a frame (or magic) not yet complete.
     std::string inbox;
     bool got_magic{false};
     bool on_clock{false};  // owes us bytes (partial magic/frame)
@@ -160,19 +183,22 @@ class Server {
   void DrainAndCloseAll();
 
   // Dispatch one CRC-valid payload: Stats inline, requests through
-  // admission + queue.  Returns false when the connection must close
-  // (framing-level violation).
+  // admission + queue (the payload moves into the job).  Returns false when
+  // the connection must close (framing-level violation).
   [[nodiscard]] bool HandlePayload(const std::shared_ptr<Connection>& conn,
-                                   const std::string& payload);
+                                   std::string payload);
   // Serve one request on a worker, drawing from RequestStream(seed,
   // sequence).
   void RunJob(const std::shared_ptr<Connection>& conn,
               const std::string& payload, std::uint64_t sequence);
-  // Frame + send a payload: header and payload go out as two iovecs of one
-  // nonblocking sendmsg under write_mutex (no framed copy); a partial write
-  // parks the remainder in the outbox and re-arms EPOLLOUT.
-  void Send(const std::shared_ptr<Connection>& conn,
-            const std::string& payload);
+  // Frame + send a payload: the payload moves into the outbox as a frame
+  // and, when nothing was queued ahead of it, is written at once by
+  // FlushOutbox (header and payload as iovecs of one nonblocking sendmsg).
+  // Whatever the socket does not take stays queued, and EPOLLOUT re-arms.
+  void Send(const std::shared_ptr<Connection>& conn, std::string payload);
+  // Write as much of conn's outbox as the socket takes.  Caller holds
+  // conn.write_mutex.
+  [[nodiscard]] static FlushResult FlushOutbox(Connection& conn);
   void SendError(const std::shared_ptr<Connection>& conn, wire::ErrorCode code,
                  const std::string& message);
   // Ask the I/O thread to arm EPOLLOUT for conn (callable from any thread).

@@ -12,12 +12,38 @@ namespace {
 
 using gdp::common::NetProtocolError;
 
-// Append-only little-endian serializer.  Strings and vectors are prefixed
-// with a u32 count; doubles travel by IEEE-754 bit pattern.  Fixed-width
-// values and f64 vectors are appended in bulk (one resize + copy).
+// Payload byte counter with Writer's interface.  Every message is written
+// by one template body (Put*) instantiated for both: the Sizer pass gives
+// the exact payload size, so the Writer pass allocates once and never
+// regrows (a level-0 view is tens of MB).
+class Sizer {
+ public:
+  void U8(std::uint8_t) { size_ += 1; }
+  void U32(std::uint32_t) { size_ += 4; }
+  void U64(std::uint64_t) { size_ += 8; }
+  void I32(std::int32_t) { size_ += 4; }
+  void F64(double) { size_ += 8; }
+  void Str(std::string_view s) { size_ += 4 + s.size(); }
+  void F64Vec(const std::vector<double>& v) {
+    size_ += 4 + v.size() * sizeof(double);
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::size_t size_{1};  // the kind byte
+};
+
+// Append-only little-endian serializer into a buffer reserved up front.
+// Strings and vectors are prefixed with a u32 count; doubles travel by
+// IEEE-754 bit pattern.  Fixed-width values and f64 vectors are appended in
+// bulk (one resize + copy).
 class Writer {
  public:
-  explicit Writer(MsgKind kind) { U8(static_cast<std::uint8_t>(kind)); }
+  Writer(MsgKind kind, std::size_t payload_size) {
+    out_.reserve(payload_size);
+    U8(static_cast<std::uint8_t>(kind));
+  }
 
   void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void U32(std::uint32_t v) { Le(v); }
@@ -170,7 +196,8 @@ Reader Open(std::string_view payload, MsgKind expected) {
   return r;
 }
 
-void PutBudget(Writer& w, const WireBudget& b) {
+template <typename Out>
+void Put(Out& w, const WireBudget& b) {
   w.F64(b.epsilon_g);
   w.F64(b.delta);
   w.F64(b.phase1_fraction);
@@ -189,7 +216,8 @@ WireBudget GetBudget(Reader& r) {
   return b;
 }
 
-void PutOutcome(Writer& w, const ServeOutcome& o) {
+template <typename Out>
+void Put(Out& w, const ServeOutcome& o) {
   w.U8(o.granted ? 1 : 0);
   w.Str(o.denial_reason);
   w.I32(o.privilege);
@@ -237,6 +265,141 @@ ServeOutcome GetOutcome(Reader& r) {
   o.view.true_group_counts = r.F64Vec();
   o.view.noisy_group_counts = r.F64Vec();
   return o;
+}
+
+template <typename Out>
+void Put(Out& w, const ServeRequest& msg) {
+  w.Str(msg.tenant);
+  w.Str(msg.dataset);
+  Put(w, msg.budget);
+}
+
+template <typename Out>
+void Put(Out& w, const SweepRequest& msg) {
+  w.Str(msg.tenant);
+  w.Str(msg.dataset);
+  w.U32(static_cast<std::uint32_t>(msg.budgets.size()));
+  for (const WireBudget& b : msg.budgets) {
+    Put(w, b);
+  }
+}
+
+template <typename Out>
+void Put(Out& w, const DrilldownRequest& msg) {
+  w.Str(msg.tenant);
+  w.Str(msg.dataset);
+  Put(w, msg.budget);
+  w.U8(msg.side);
+  w.U32(msg.node);
+}
+
+template <typename Out>
+void Put(Out& w, const AnswerRequest& msg) {
+  w.Str(msg.tenant);
+  w.Str(msg.dataset);
+  Put(w, msg.budget);
+  w.U32(static_cast<std::uint32_t>(msg.queries.size()));
+  for (const WireQuery& q : msg.queries) {
+    w.U8(q.kind);
+    w.U8(q.side);
+    w.U32(q.param);
+  }
+}
+
+template <typename Out>
+void Put(Out& w, const SweepResponse& msg) {
+  w.U32(static_cast<std::uint32_t>(msg.outcomes.size()));
+  for (const ServeOutcome& o : msg.outcomes) {
+    Put(w, o);
+  }
+}
+
+template <typename Out>
+void Put(Out& w, const DrilldownResponse& msg) {
+  Put(w, msg.outcome);
+  w.U32(static_cast<std::uint32_t>(msg.chain.size()));
+  for (const WireDrillEntry& e : msg.chain) {
+    w.I32(e.level);
+    w.U32(e.group);
+    w.U32(e.group_size);
+    w.F64(e.noisy_count);
+    w.F64(e.true_count);
+  }
+}
+
+template <typename Out>
+void Put(Out& w, const AnswerResponse& msg) {
+  Put(w, msg.outcome);
+  w.U32(static_cast<std::uint32_t>(msg.results.size()));
+  for (const WireQueryResult& r : msg.results) {
+    w.Str(r.query_name);
+    w.F64(r.sensitivity);
+    w.F64(r.noise_stddev);
+    w.F64Vec(r.truth);
+    w.F64Vec(r.noisy);
+    w.F64(r.mean_rer);
+    w.F64(r.mae);
+    w.F64(r.rmse);
+  }
+}
+
+template <typename Out>
+void Put(Out& w, const StatsResponse& msg) {
+  w.U64(msg.registry_hits);
+  w.U64(msg.registry_misses);
+  w.U64(msg.registry_evictions);
+  w.U64(msg.registry_snapshot_adoptions);
+  w.U64(msg.registry_size);
+  w.U64(msg.registry_capacity);
+  w.U64(msg.catalog_datasets);
+  w.U64(msg.broker_tenants);
+  w.U8(msg.wal_enabled);
+  w.U8(msg.failed_closed);
+  w.U64(msg.wal_appends);
+  w.U64(msg.wal_failures);
+  w.U64(msg.fail_closed_rejections);
+  w.U64(msg.dataset_denials);
+  w.U64(msg.connections_accepted);
+  w.U64(msg.connections_open);
+  w.U64(msg.requests_enqueued);
+  w.U64(msg.requests_completed);
+  w.U64(msg.shed_queue_full);
+  w.U64(msg.shed_tenant_inflight);
+  w.U64(msg.protocol_errors);
+  w.U64(msg.queue_depth);
+  w.U64(msg.queue_capacity);
+  w.U64(msg.queue_high_watermark);
+  w.U64(msg.workers);
+  w.U64(msg.io_threads);
+  w.U8(msg.noise_streams);
+  w.U64(msg.rng_mutex_acquisitions);
+  w.U64(msg.partial_writes);
+}
+
+template <typename Out>
+void Put(Out& w, const OverloadedResponse& msg) {
+  w.Str(msg.reason);
+}
+
+template <typename Out>
+void Put(Out& w, const ErrorResponse& msg) {
+  w.U8(static_cast<std::uint8_t>(msg.code));
+  w.Str(msg.message);
+}
+
+// Each message's Put body runs twice: sized, then written.
+template <typename Msg>
+std::size_t SizeOf(const Msg& msg) {
+  Sizer sizer;
+  Put(sizer, msg);
+  return sizer.size();
+}
+
+template <typename Msg>
+std::string EncodeAs(MsgKind kind, const Msg& msg) {
+  Writer w(kind, SizeOf(msg));
+  Put(w, msg);
+  return std::move(w).Take();
 }
 
 }  // namespace
@@ -349,35 +512,61 @@ std::string Frame(std::string_view payload) {
   return out;
 }
 
-std::optional<std::string> TryDeframe(std::string& buffer) {
-  if (buffer.size() < kFrameHeaderSize) {
-    return std::nullopt;
+namespace {
+
+std::uint32_t U32At(const char* bytes) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[i]))
+         << (8 * i);
   }
-  auto u32_at = [&buffer](std::size_t off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(buffer[off + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const std::uint32_t len = u32_at(0);
-  // Length is validated BEFORE waiting for `len` more bytes: an attacker
-  // declaring 4 GiB gets rejected now, not buffered toward the cap.
+  return v;
+}
+
+std::uint32_t CheckedLength(const char* header) {
+  const std::uint32_t len = U32At(header);
   if (len == 0 || len > kMaxPayload) {
     throw NetProtocolError("GDPNET01 frame: declared payload length " +
                            std::to_string(len) + " outside (0, 32 MiB]");
   }
-  if (buffer.size() < kFrameHeaderSize + len) {
+  return len;
+}
+
+}  // namespace
+
+std::uint32_t CheckedPayloadLength(
+    const std::array<char, kFrameHeaderSize>& header) {
+  return CheckedLength(header.data());
+}
+
+std::uint32_t DeclaredCrc(const std::array<char, kFrameHeaderSize>& header) {
+  return U32At(header.data() + 4);
+}
+
+std::optional<std::string> TryDeframe(std::string_view buffer,
+                                      std::size_t& pos) {
+  const std::string_view rest = buffer.substr(pos);
+  if (rest.size() < kFrameHeaderSize) {
     return std::nullopt;
   }
-  const std::uint32_t declared_crc = u32_at(4);
-  std::string payload = buffer.substr(kFrameHeaderSize, len);
-  if (gdp::common::Crc32(payload) != declared_crc) {
+  // Length is validated BEFORE waiting for `len` more bytes: an attacker
+  // declaring 4 GiB gets rejected now, not buffered toward the cap.
+  const std::uint32_t len = CheckedLength(rest.data());
+  if (rest.size() - kFrameHeaderSize < len) {
+    return std::nullopt;
+  }
+  const std::string_view payload = rest.substr(kFrameHeaderSize, len);
+  if (gdp::common::Crc32(payload) != U32At(rest.data() + 4)) {
     throw NetProtocolError("GDPNET01 frame: payload CRC mismatch");
   }
-  buffer.erase(0, kFrameHeaderSize + len);
+  pos += kFrameHeaderSize + len;
+  return std::string(payload);
+}
+
+std::optional<std::string> TryDeframe(std::string& buffer) {
+  std::size_t pos = 0;
+  std::optional<std::string> payload = TryDeframe(buffer, pos);
+  buffer.erase(0, pos);
   return payload;
 }
 
@@ -398,145 +587,64 @@ MsgKind PeekKind(std::string_view payload) {
 }
 
 std::string Encode(const ServeRequest& msg) {
-  Writer w(MsgKind::kServeRequest);
-  w.Str(msg.tenant);
-  w.Str(msg.dataset);
-  PutBudget(w, msg.budget);
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kServeRequest, msg);
 }
 
 std::string Encode(const SweepRequest& msg) {
-  Writer w(MsgKind::kSweepRequest);
-  w.Str(msg.tenant);
-  w.Str(msg.dataset);
-  w.U32(static_cast<std::uint32_t>(msg.budgets.size()));
-  for (const WireBudget& b : msg.budgets) {
-    PutBudget(w, b);
-  }
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kSweepRequest, msg);
 }
 
 std::string Encode(const DrilldownRequest& msg) {
-  Writer w(MsgKind::kDrilldownRequest);
-  w.Str(msg.tenant);
-  w.Str(msg.dataset);
-  PutBudget(w, msg.budget);
-  w.U8(msg.side);
-  w.U32(msg.node);
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kDrilldownRequest, msg);
 }
 
 std::string Encode(const AnswerRequest& msg) {
-  Writer w(MsgKind::kAnswerRequest);
-  w.Str(msg.tenant);
-  w.Str(msg.dataset);
-  PutBudget(w, msg.budget);
-  w.U32(static_cast<std::uint32_t>(msg.queries.size()));
-  for (const WireQuery& q : msg.queries) {
-    w.U8(q.kind);
-    w.U8(q.side);
-    w.U32(q.param);
-  }
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kAnswerRequest, msg);
 }
 
 std::string EncodeStatsRequest() {
-  Writer w(MsgKind::kStatsRequest);
-  return std::move(w).Take();
+  return Writer(MsgKind::kStatsRequest, 1).Take();
 }
 
 std::string Encode(const ServeOutcome& msg) {
-  Writer w(MsgKind::kServeResponse);
-  PutOutcome(w, msg);
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kServeResponse, msg);
 }
 
 std::string Encode(const SweepResponse& msg) {
-  Writer w(MsgKind::kSweepResponse);
-  w.U32(static_cast<std::uint32_t>(msg.outcomes.size()));
-  for (const ServeOutcome& o : msg.outcomes) {
-    PutOutcome(w, o);
-  }
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kSweepResponse, msg);
 }
 
 std::string Encode(const DrilldownResponse& msg) {
-  Writer w(MsgKind::kDrilldownResponse);
-  PutOutcome(w, msg.outcome);
-  w.U32(static_cast<std::uint32_t>(msg.chain.size()));
-  for (const WireDrillEntry& e : msg.chain) {
-    w.I32(e.level);
-    w.U32(e.group);
-    w.U32(e.group_size);
-    w.F64(e.noisy_count);
-    w.F64(e.true_count);
-  }
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kDrilldownResponse, msg);
 }
 
 std::string Encode(const AnswerResponse& msg) {
-  Writer w(MsgKind::kAnswerResponse);
-  PutOutcome(w, msg.outcome);
-  w.U32(static_cast<std::uint32_t>(msg.results.size()));
-  for (const WireQueryResult& r : msg.results) {
-    w.Str(r.query_name);
-    w.F64(r.sensitivity);
-    w.F64(r.noise_stddev);
-    w.F64Vec(r.truth);
-    w.F64Vec(r.noisy);
-    w.F64(r.mean_rer);
-    w.F64(r.mae);
-    w.F64(r.rmse);
-  }
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kAnswerResponse, msg);
 }
 
 std::string Encode(const StatsResponse& msg) {
-  Writer w(MsgKind::kStatsResponse);
-  w.U64(msg.registry_hits);
-  w.U64(msg.registry_misses);
-  w.U64(msg.registry_evictions);
-  w.U64(msg.registry_snapshot_adoptions);
-  w.U64(msg.registry_size);
-  w.U64(msg.registry_capacity);
-  w.U64(msg.catalog_datasets);
-  w.U64(msg.broker_tenants);
-  w.U8(msg.wal_enabled);
-  w.U8(msg.failed_closed);
-  w.U64(msg.wal_appends);
-  w.U64(msg.wal_failures);
-  w.U64(msg.fail_closed_rejections);
-  w.U64(msg.dataset_denials);
-  w.U64(msg.connections_accepted);
-  w.U64(msg.connections_open);
-  w.U64(msg.requests_enqueued);
-  w.U64(msg.requests_completed);
-  w.U64(msg.shed_queue_full);
-  w.U64(msg.shed_tenant_inflight);
-  w.U64(msg.protocol_errors);
-  w.U64(msg.queue_depth);
-  w.U64(msg.queue_capacity);
-  w.U64(msg.queue_high_watermark);
-  w.U64(msg.workers);
-  w.U64(msg.io_threads);
-  w.U8(msg.noise_streams);
-  w.U64(msg.rng_mutex_acquisitions);
-  w.U64(msg.partial_writes);
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kStatsResponse, msg);
 }
 
 std::string Encode(const OverloadedResponse& msg) {
-  Writer w(MsgKind::kOverloaded);
-  w.Str(msg.reason);
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kOverloaded, msg);
 }
 
 std::string Encode(const ErrorResponse& msg) {
-  Writer w(MsgKind::kError);
-  w.U8(static_cast<std::uint8_t>(msg.code));
-  w.Str(msg.message);
-  return std::move(w).Take();
+  return EncodeAs(MsgKind::kError, msg);
 }
+
+std::size_t EncodedSize(const ServeRequest& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const SweepRequest& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const DrilldownRequest& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const AnswerRequest& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const ServeOutcome& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const SweepResponse& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const DrilldownResponse& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const AnswerResponse& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const StatsResponse& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const OverloadedResponse& msg) { return SizeOf(msg); }
+std::size_t EncodedSize(const ErrorResponse& msg) { return SizeOf(msg); }
 
 ServeRequest DecodeServeRequest(std::string_view payload) {
   Reader r = Open(payload, MsgKind::kServeRequest);

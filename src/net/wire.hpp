@@ -262,12 +262,29 @@ struct ErrorResponse {
 // FrameHeader(payload) followed by the payload, as one string.
 [[nodiscard]] std::string Frame(std::string_view payload);
 
-// Split one frame off the front of `buffer`.  Returns the payload and erases
-// the consumed bytes, or nullopt when the buffer does not yet hold a full
-// frame (read more).  Throws NetProtocolError on a declared length of zero
-// or beyond kMaxPayload, and on a CRC mismatch — framing-level violations
-// desynchronize the stream, so the caller must close the connection.
+// Split one frame off `buffer` at offset `pos`.  Returns the payload and
+// advances `pos` past the frame, or nullopt (pos unchanged) when the bytes
+// from `pos` on do not yet hold a full frame (read more).  Throws
+// NetProtocolError on a declared length of zero or beyond kMaxPayload —
+// checked as soon as the header is in, before waiting for the payload — and
+// on a CRC mismatch.  Framing-level violations desynchronize the stream, so
+// the caller must close the connection.  A reader that buffers many frames
+// advances `pos` through them and compacts the buffer once.
+[[nodiscard]] std::optional<std::string> TryDeframe(std::string_view buffer,
+                                                    std::size_t& pos);
+
+// The same at offset 0, erasing the consumed frame from `buffer`.
 [[nodiscard]] std::optional<std::string> TryDeframe(std::string& buffer);
+
+// The payload length a frame header declares, validated: throws
+// NetProtocolError when it is zero or beyond kMaxPayload.  A receiver may
+// size its payload buffer from the result.
+[[nodiscard]] std::uint32_t CheckedPayloadLength(
+    const std::array<char, kFrameHeaderSize>& header);
+
+// The CRC a frame header declares for its payload.
+[[nodiscard]] std::uint32_t DeclaredCrc(
+    const std::array<char, kFrameHeaderSize>& header);
 
 // The kind byte of a decoded payload (validated member of MsgKind).
 [[nodiscard]] MsgKind PeekKind(std::string_view payload);
@@ -286,6 +303,21 @@ struct ErrorResponse {
 [[nodiscard]] std::string Encode(const StatsResponse& msg);
 [[nodiscard]] std::string Encode(const OverloadedResponse& msg);
 [[nodiscard]] std::string Encode(const ErrorResponse& msg);
+
+// --- encoded sizes: exactly Encode(msg).size(), computed without encoding.
+// Encode reserves this much up front, so a payload is allocated once.
+
+[[nodiscard]] std::size_t EncodedSize(const ServeRequest& msg);
+[[nodiscard]] std::size_t EncodedSize(const SweepRequest& msg);
+[[nodiscard]] std::size_t EncodedSize(const DrilldownRequest& msg);
+[[nodiscard]] std::size_t EncodedSize(const AnswerRequest& msg);
+[[nodiscard]] std::size_t EncodedSize(const ServeOutcome& msg);
+[[nodiscard]] std::size_t EncodedSize(const SweepResponse& msg);
+[[nodiscard]] std::size_t EncodedSize(const DrilldownResponse& msg);
+[[nodiscard]] std::size_t EncodedSize(const AnswerResponse& msg);
+[[nodiscard]] std::size_t EncodedSize(const StatsResponse& msg);
+[[nodiscard]] std::size_t EncodedSize(const OverloadedResponse& msg);
+[[nodiscard]] std::size_t EncodedSize(const ErrorResponse& msg);
 
 // --- decode (payload = [kind][body]; kind must match; throws
 // NetProtocolError on any structural violation) ------------------------------

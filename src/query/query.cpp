@@ -3,38 +3,55 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/group_sensitivity.hpp"
+
 namespace gdp::query {
+
+ScannedLevel::ScannedLevel(const BipartiteGraph& graph, const Partition& level)
+    : graph_(&graph), level_(&level), sums_(level.GroupDegreeSums(graph)) {
+  for (const EdgeCount s : sums_) {
+    max_sum_ = std::max(max_sum_, s);
+  }
+}
+
+LevelStats ScannedLevel::stats() const noexcept {
+  return LevelStats{
+      *graph_,
+      *level_,
+      graph_->num_edges(),
+      sums_,
+      max_sum_,
+      max_sum_ == 0 ? 0.0
+                    : gdp::core::VectorSensitivityFromScalar(max_sum_).value()};
+}
 
 std::string AssociationCountQuery::Name() const { return "association_count"; }
 
 std::vector<double> AssociationCountQuery::Evaluate(
-    const BipartiteGraph& graph) const {
-  return {static_cast<double>(graph.num_edges())};
+    const LevelStats& stats) const {
+  return {static_cast<double>(stats.num_edges)};
 }
 
-double AssociationCountQuery::GroupSensitivity(const BipartiteGraph& graph,
-                                               const Partition& level) const {
-  return static_cast<double>(level.MaxGroupDegreeSum(graph));
+double AssociationCountQuery::GroupSensitivity(const LevelStats& stats) const {
+  return static_cast<double>(stats.count_sensitivity);
 }
 
 std::string GroupCountQuery::Name() const { return "group_counts"; }
 
-std::vector<double> GroupCountQuery::Evaluate(const BipartiteGraph& graph) const {
-  const auto sums = level_->GroupDegreeSums(graph);
-  std::vector<double> out;
-  out.reserve(sums.size());
-  for (const auto s : sums) {
-    out.push_back(static_cast<double>(s));
+std::vector<double> GroupCountQuery::Evaluate(const LevelStats& stats) const {
+  std::vector<EdgeCount> scanned;
+  std::span<const EdgeCount> sums = stats.group_sums;
+  if (&stats.level != level_) {
+    scanned = level_->GroupDegreeSums(stats.graph);
+    sums = scanned;
   }
-  return out;
+  return std::vector<double>(sums.begin(), sums.end());
 }
 
-double GroupCountQuery::GroupSensitivity(const BipartiteGraph& graph,
-                                         const Partition& level) const {
+double GroupCountQuery::GroupSensitivity(const LevelStats& stats) const {
   // One group's change moves its own entry by ≤ Δ and opposite-side entries
   // by ≤ Δ total; sqrt(2)·Δ bounds the L2 (see core/group_sensitivity.hpp).
-  return 1.4142135623730951 *
-         static_cast<double>(level.MaxGroupDegreeSum(graph));
+  return stats.vector_sensitivity;
 }
 
 DegreeHistogramQuery::DegreeHistogramQuery(Side side, std::size_t max_degree)
@@ -49,22 +66,23 @@ std::string DegreeHistogramQuery::Name() const {
 }
 
 std::vector<double> DegreeHistogramQuery::Evaluate(
-    const BipartiteGraph& graph) const {
+    const LevelStats& stats) const {
+  // Degrees straight off the CSR offsets: one sequential pass.
+  const std::span<const EdgeCount> offsets = stats.graph.offsets(side_);
   std::vector<double> bins(max_degree_ + 2, 0.0);
-  for (gdp::graph::NodeIndex v = 0; v < graph.num_nodes(side_); ++v) {
-    const auto d = static_cast<std::size_t>(graph.Degree(side_, v));
+  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
+    const auto d = static_cast<std::size_t>(offsets[v + 1] - offsets[v]);
     ++bins[std::min(d, max_degree_ + 1)];
   }
   return bins;
 }
 
-double DegreeHistogramQuery::GroupSensitivity(const BipartiteGraph& graph,
-                                              const Partition& level) const {
-  const auto weights = level.GroupDegreeSums(graph);
+double DegreeHistogramQuery::GroupSensitivity(const LevelStats& stats) const {
+  const std::span<const gdp::hier::GroupInfo> groups = stats.level.groups();
   double worst = 0.0;
-  for (gdp::hier::GroupId g = 0; g < level.num_groups(); ++g) {
-    const double bound = static_cast<double>(level.group(g).size) +
-                         2.0 * static_cast<double>(weights[g]);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const double bound = static_cast<double>(groups[g].size) +
+                         2.0 * static_cast<double>(stats.group_sums[g]);
     worst = std::max(worst, bound);
   }
   return worst;

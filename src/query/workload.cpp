@@ -19,13 +19,21 @@ std::vector<QueryRunResult> Workload::Run(const BipartiteGraph& graph,
                                           gdp::core::NoiseKind noise,
                                           double epsilon, double delta,
                                           gdp::common::Rng& rng) const {
+  const ScannedLevel scanned(graph, level);
+  return Run(scanned.stats(), noise, epsilon, delta, rng);
+}
+
+std::vector<QueryRunResult> Workload::Run(const LevelStats& stats,
+                                          gdp::core::NoiseKind noise,
+                                          double epsilon, double delta,
+                                          gdp::common::Rng& rng) const {
   std::vector<QueryRunResult> results;
   results.reserve(queries_.size());
   for (const auto& q : queries_) {
     QueryRunResult r;
     r.query_name = q->Name();
-    r.truth = q->Evaluate(graph);
-    r.sensitivity = q->GroupSensitivity(graph, level);
+    r.truth = q->Evaluate(stats);
+    r.sensitivity = q->GroupSensitivity(stats);
     if (r.sensitivity == 0.0) {
       r.noisy = r.truth;
     } else {

@@ -33,9 +33,15 @@ class Workload {
 
   [[nodiscard]] std::size_t size() const noexcept { return queries_.size(); }
 
-  // Run every query at `level`, perturbing each with a mechanism calibrated
-  // to (epsilon, delta) and the query's own group sensitivity at that level.
-  // A query whose sensitivity at the level is 0 is released exactly.
+  // Run every query at the level `stats` describes, perturbing each with a
+  // mechanism calibrated to (epsilon, delta) and the query's own group
+  // sensitivity at that level.  A query whose sensitivity at the level is 0
+  // is released exactly.  No graph scan: everything comes from `stats`.
+  [[nodiscard]] std::vector<QueryRunResult> Run(
+      const LevelStats& stats, gdp::core::NoiseKind noise, double epsilon,
+      double delta, gdp::common::Rng& rng) const;
+
+  // The same after one degree-sum scan of `level` (ScannedLevel).
   [[nodiscard]] std::vector<QueryRunResult> Run(
       const BipartiteGraph& graph, const Partition& level,
       gdp::core::NoiseKind noise, double epsilon, double delta,

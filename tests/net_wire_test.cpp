@@ -172,6 +172,21 @@ TEST(NetWireTest, StatsRequestHasEmptyBody) {
   EXPECT_NO_THROW(DecodeStatsRequest(payload));
 }
 
+TEST(NetFramingTest, CursorDeframeWalksPipelinedFramesWithoutErasing) {
+  const std::string first = Encode(SampleServeRequest());
+  const std::string second = EncodeStatsRequest();
+  const std::string buffer = Frame(first) + Frame(second) + "\x05";
+  std::size_t pos = 0;
+  EXPECT_EQ(TryDeframe(buffer, pos), first);
+  EXPECT_EQ(pos, kFrameHeaderSize + first.size());
+  EXPECT_EQ(TryDeframe(buffer, pos), second);
+  const std::size_t after_both = pos;
+  // The trailing byte is the start of an incomplete header: wait, in place.
+  EXPECT_FALSE(TryDeframe(buffer, pos).has_value());
+  EXPECT_EQ(pos, after_both);
+  EXPECT_EQ(buffer.size(), after_both + 1);
+}
+
 // ---------- response round trips ----------
 
 TEST(NetWireTest, ServeResponseRoundTripsWithView) {
@@ -295,6 +310,53 @@ TEST(NetWireTest, OverloadedAndErrorRoundTrip) {
       Encode(ErrorResponse{ErrorCode::kNotFound, "unknown tenant 'x'"}));
   EXPECT_EQ(err.code, ErrorCode::kNotFound);
   EXPECT_EQ(err.message, "unknown tenant 'x'");
+}
+
+// ---------- encode sizing ----------
+
+// Encode reserves EncodedSize(msg) bytes before writing; the two must agree
+// exactly for every kind, or a large view would regrow its buffer.
+template <typename Msg>
+void ExpectEncodedSizeExact(const Msg& msg, const char* what) {
+  EXPECT_EQ(Encode(msg).size(), EncodedSize(msg)) << what;
+}
+
+TEST(NetWireTest, EncodedSizeIsExactForEveryKind) {
+  ExpectEncodedSizeExact(SampleServeRequest(), "ServeRequest");
+  SweepRequest sweep;
+  sweep.tenant = "t";
+  sweep.budgets.resize(3);
+  ExpectEncodedSizeExact(sweep, "SweepRequest");
+  DrilldownRequest drill;
+  drill.dataset = "d";
+  ExpectEncodedSizeExact(drill, "DrilldownRequest");
+  AnswerRequest answer;
+  answer.queries.resize(2);
+  ExpectEncodedSizeExact(answer, "AnswerRequest");
+
+  ServeOutcome big = SampleOutcome();
+  big.denial_reason = "not denied, but a reason is encoded all the same";
+  big.view.true_group_counts.assign(100000, 1.5);
+  big.view.noisy_group_counts.assign(100000, 2.5);
+  ExpectEncodedSizeExact(big, "ServeResponse");
+  ExpectEncodedSizeExact(ServeOutcome{}, "empty ServeResponse");
+  SweepResponse sweep_resp;
+  sweep_resp.outcomes = {SampleOutcome(), ServeOutcome{}, big};
+  ExpectEncodedSizeExact(sweep_resp, "SweepResponse");
+  DrilldownResponse drill_resp;
+  drill_resp.outcome = SampleOutcome();
+  drill_resp.chain.resize(5);
+  ExpectEncodedSizeExact(drill_resp, "DrilldownResponse");
+  AnswerResponse answer_resp;
+  answer_resp.outcome = SampleOutcome();
+  answer_resp.results.resize(2);
+  answer_resp.results[0].query_name = "group_counts";
+  answer_resp.results[0].truth.assign(70000, 3.0);
+  answer_resp.results[0].noisy.assign(70000, 3.5);
+  ExpectEncodedSizeExact(answer_resp, "AnswerResponse");
+  ExpectEncodedSizeExact(StatsResponse{}, "StatsResponse");
+  ExpectEncodedSizeExact(OverloadedResponse{"queue full"}, "Overloaded");
+  ExpectEncodedSizeExact(ErrorResponse{ErrorCode::kInternal, "boom"}, "Error");
 }
 
 // ---------- hostile decode ----------
